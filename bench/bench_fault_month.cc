@@ -235,16 +235,17 @@ int main(int argc, char** argv) {
   // the paper's nightly rejuvenation). The bespoke month replay below
   // is untouched when no checkpoint flag is given.
   if (resumable_mode(options)) {
+    fleet::ChaosWorkloadOptions month;
+    month.world.fidelity = fleet::ModelFidelity::kFast;
+    month.world.email_check_interval = minutes(15);
+    month.scenario = sim::ChaosScenario::preset("flaky_network");
+    month.horizon = hours(24 * 30);
+    month.drain = hours(6);
+    month.alerts_per_user_day = 24.0;
     fleet::ResumableOptions resumable;
-    resumable.kind = fleet::ResumeKind::kChaos;
-    resumable.world.fidelity = fleet::ModelFidelity::kFast;
-    resumable.world.email_check_interval = minutes(15);
-    resumable.scenario = sim::ChaosScenario::preset("flaky_network");
+    resumable.workload = month;
     resumable.fleet.shards = 2;
-    resumable.horizon = hours(24 * 30);
-    resumable.drain = hours(6);
     resumable.epochs = 30;  // one boundary per simulated night
-    resumable.alerts_per_user_day = 24.0;
     return run_resumable_bench("fault_month", options, resumable);
   }
 

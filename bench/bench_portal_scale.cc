@@ -30,11 +30,15 @@ int main(int argc, char** argv) {
   // (tools/resume_roundtrip.py) sub-second; the legacy calibrated
   // path below is untouched when no checkpoint flag is given.
   if (resumable_mode(options)) {
+    fleet::PortalWorkloadOptions portal;
+    portal.world.fidelity = fleet::ModelFidelity::kFast;
+    portal.world.email_check_interval = minutes(15);
+    portal.world.trace = true;
+    portal.alerts_per_user_day = 72.0;
+    portal.horizon = hours(8);
+    portal.drain = hours(2);
     fleet::ResumableOptions resumable;
-    resumable.kind = fleet::ResumeKind::kPortal;
-    resumable.world.fidelity = fleet::ModelFidelity::kFast;
-    resumable.world.email_check_interval = minutes(15);
-    resumable.world.trace = true;
+    resumable.workload = portal;
     resumable.fleet.shards = 4;
     return run_resumable_bench("portal_scale", options, resumable);
   }

@@ -77,7 +77,7 @@ inline int run_resumable_bench(const std::string& bench_name,
   }
 
   print_section(bench_name + ": resumable " +
-                fleet::to_string(options.kind) + " fleet");
+                fleet::to_string(fleet::kind_of(options)) + " fleet");
   std::printf("  shards=%zu threads=%d seed=%llu epochs=%d\n",
               options.fleet.shards, options.fleet.threads,
               static_cast<unsigned long long>(options.fleet.base_seed),
@@ -110,7 +110,7 @@ inline int run_resumable_bench(const std::string& bench_name,
     JsonReport json;
     json.add("bench", bench_name);
     json.add("mode", std::string("resumable"));
-    json.add("kind", std::string(fleet::to_string(options.kind)));
+    json.add("kind", std::string(fleet::to_string(fleet::kind_of(options))));
     json.add("seed", cli.seed);
     json.add("shards", static_cast<std::int64_t>(options.fleet.shards));
     json.add("epochs", options.epochs);

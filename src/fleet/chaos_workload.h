@@ -34,8 +34,9 @@ struct ChaosWorkloadOptions {
 };
 
 /// Builds one chaos UserWorld from the shard seed, replays the alert
-/// day, scores the InvariantChecker at horizon, and reports. Counters
-/// emitted on top of the portal set:
+/// day, scores the InvariantChecker at horizon, and reports: one epoch
+/// of the fleet driver (fleet/resume.h). Counters emitted on top of the
+/// portal set:
 ///   invariant.submitted / delivered / failed / in_flight / ...
 ///   invariant.violations.* — every key must stay 0 (asserted by
 ///                            tests/chaos_test.cc per shard and merged)

@@ -31,7 +31,8 @@ struct PortalWorkloadOptions {
 };
 
 /// Builds one UserWorld from the shard seed, replays the portal day,
-/// and reports. Counters emitted (all deterministic per seed):
+/// and reports: one epoch of the fleet driver (fleet/resume.h).
+/// Counters emitted (all deterministic per seed):
 ///   alerts.sent / alerts.delivered / alerts.lost / alerts.duplicates
 ///   conservation.invented      — user sightings with no matching send
 ///   conservation.ack_unlogged  — IM-leg acks missing from the alert

@@ -1,6 +1,12 @@
-// Resumable multi-epoch fleet runs: deterministic world checkpoint /
-// restore, proven by the resume-equivalence matrix (tests/resume_test.cc,
-// DESIGN.md §15).
+// The fleet's one shard driver, and resumable multi-epoch runs built
+// on it: deterministic world checkpoint / restore, proven by the
+// resume-equivalence matrix (tests/resume_test.cc, DESIGN.md §15).
+//
+// Every portal, chaos and storm shard runs the same way: the whole
+// arrival plan is realized once from the shard seed and carried as
+// data, fed epoch by epoch into a UserWorld rebuilt at each boundary,
+// and scored at the end. A plain run (run_portal_shard,
+// run_chaos_shard, run_storm_shard) is one epoch of it.
 //
 // A resumable run divides its horizon into epochs. Every epoch — in
 // every run, resumed or not — tears the per-shard UserWorld down at the
@@ -26,62 +32,48 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
 
+#include "fleet/chaos_workload.h"
 #include "fleet/fleet.h"
-#include "fleet/user_world.h"
-#include "sim/chaos.h"
+#include "fleet/portal_workload.h"
+#include "fleet/storm_workload.h"
 #include "util/result.h"
 #include "util/stats.h"
 
 namespace simba::fleet {
 
-/// Which workload family the resumable driver replays. The traffic
-/// plans mirror portal_workload / chaos_workload / storm_workload; the
-/// whole arrival schedule is realized up front from the shard seed
-/// (epoch 0) and carried as data, so a resumed run never re-draws it.
+/// Which workload family a run replays; the checkpoint image records
+/// it. Numbered after the WorkloadOptions alternatives, in order.
 enum class ResumeKind : std::uint32_t {
-  kPortal = 1,  // legacy portal mail straight to the buddy's mailbox
+  kPortal = 1,  // portal mail into the buddy's mailbox, or source IM
   kChaos = 2,   // SIMBA-library source under a chaos scenario
   kStorm = 3,   // correlated overload (cascades + bursts + criticals)
 };
 
 const char* to_string(ResumeKind kind);
 
-struct ResumableOptions {
-  ResumeKind kind = ResumeKind::kChaos;
-  /// Base world knobs (fidelity, overload, tracing, ...). The driver
-  /// overrides the per-kind plumbing (source, storm config, chaos
-  /// scenario, shared invariant checker) itself.
-  UserWorldOptions world;
-  /// Fault mix for kChaos / kStorm, realized per shard seed.
-  sim::ChaosScenario scenario;
-  FleetOptions fleet;
+/// One workload's own options; the alternative held is the kind.
+using WorkloadOptions = std::variant<PortalWorkloadOptions,
+                                     ChaosWorkloadOptions,
+                                     StormWorkloadOptions>;
 
-  // --- Run shape -------------------------------------------------------------
-  Duration horizon = hours(8);
-  /// Extra virtual time after the last arrival window (final epoch
-  /// only) so email tails, digest flushes, and recovery replays land.
-  Duration drain = hours(2);
+struct ResumableOptions {
+  /// World knobs, run length (horizon + drain), traffic and fault mix.
+  /// The driver adds the per-kind plumbing (source, storm config,
+  /// tracing, shared invariant checker) itself.
+  WorkloadOptions workload = ChaosWorkloadOptions{};
+  FleetOptions fleet;
   /// Number of equal arrival windows; boundaries at horizon * i/epochs.
+  /// The drain runs after the last one.
   int epochs = 4;
   /// No arrivals land this close before an interior boundary, so
   /// source-side deliveries resolve before the world is torn down —
   /// the quiesce window of a planned restart.
   Duration boundary_gap = minutes(15);
-
-  // --- Traffic (kPortal / kChaos) --------------------------------------------
-  double alerts_per_user_day = 72.0;
-
-  // --- Storm shape (kStorm), mirroring StormWorkloadOptions -----------------
-  double background_per_day = 48.0;
-  double critical_per_day = 96.0;
-  int sensor_cascades = 6;
-  int cascade_size = 40;
-  Duration cascade_spread = seconds(20);
-  int poll_bursts = 4;
-  int burst_size = 60;
-  Duration burst_spread = seconds(45);
 };
+
+ResumeKind kind_of(const ResumableOptions& options);
 
 struct ResumeControl {
   /// Cut a checkpoint image once this many epochs have completed

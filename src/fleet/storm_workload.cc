@@ -1,12 +1,5 @@
 #include "fleet/storm_workload.h"
 
-#include <algorithm>
-#include "util/flat_map.h"
-#include <string>
-#include <string_view>
-
-#include "util/arena.h"
-
 namespace simba::fleet {
 
 core::OverloadOptions storm_defenses() {
@@ -37,211 +30,6 @@ core::OverloadOptions storm_no_defenses() {
   o.engine.lane_bound = 0;
   o.engine.priority_lanes = false;
   return o;
-}
-
-namespace {
-
-/// Counter keys copied from a component bag into the shard result (see
-/// chaos_workload.cc), so overload accounting and chaos sanity checks
-/// survive into the merged report.
-void copy_counters_with_prefix(const Counters& from, const std::string& prefix,
-                               Counters& into) {
-  for (const auto& [name, value] : from.all()) {
-    if (name.rfind(prefix, 0) == 0) into.bump(name, value);
-  }
-}
-
-}  // namespace
-
-ShardResult run_storm_shard(const ShardTask& task,
-                            const StormWorkloadOptions& options) {
-  ShardResult result;
-
-  UserWorldOptions world_options = options.world;
-  world_options.user = "user" + std::to_string(task.shard_id);
-  world_options.with_source = true;
-  world_options.storm_config = true;
-  world_options.fault_horizon = options.horizon;
-  world_options.chaos = options.scenario;
-  world_options.track_invariants = true;
-  // Always traced, as in the chaos workload: a violation must print
-  // the offending alert's lifecycle, and tracing consumes no
-  // randomness and schedules no events.
-  world_options.trace = true;
-  UserWorld world(task.seed, world_options);
-  sim::InvariantChecker& checker = *world.invariants;
-
-  util::FlatMap<std::string, TimePoint> sent_at;
-  util::FlatSet<std::string> critical_ids;
-  Rng rng = world.sim.make_rng("storm.load");
-  const TimePoint start = world.sim.now();
-  const TimePoint end = kTimeZero + options.horizon;
-  std::int64_t sent = 0;
-
-  // Schedules one submission at t. `source`/`native` are string
-  // literals, so closures capture pointers; ids live in the shard's
-  // bump arena until the epoch boundary after the drain.
-  auto submit_at = [&](TimePoint t, const char* source, const char* native,
-                       bool critical) {
-    const std::int64_t alert_number = sent++;
-    char shard_buf[20];
-    char number_buf[20];
-    const std::string_view id = world.id_arena.concat(
-        {"s", util::format_u64(task.shard_id, shard_buf), "-",
-         util::format_u64(static_cast<std::uint64_t>(alert_number),
-                          number_buf)});
-    sent_at.emplace(id, t);
-    if (critical) critical_ids.emplace(id);
-    world.sim.at(t, [&world, &checker, id, source, native, critical,
-                     alert_number] {
-      core::Alert alert;
-      // std::string rvalues: sidestep a GCC 12 -Werror=restrict false
-      // positive on the const char* assign path at -O2.
-      alert.source = std::string(source);
-      alert.native_category = std::string(native);
-      alert.subject = "storm alert " + std::to_string(alert_number);
-      alert.high_importance = critical;
-      alert.id = std::string(id);
-      alert.created_at = world.sim.now();
-      checker.on_submitted(alert.id, world.sim.now());
-      world.source->send_alert(
-          alert, [&world, &checker, id](const core::DeliveryOutcome& outcome) {
-            const std::string id_str(id);
-            if (outcome.delivered) {
-              checker.on_acked(id_str, outcome.block_used,
-                               world.host->alert_log().contains(id_str),
-                               outcome.completed_at);
-            } else {
-              checker.on_failed(id_str, outcome.completed_at);
-            }
-          });
-    });
-  };
-
-  // Pre-schedule every stream from the dedicated "storm.load" stream,
-  // in a fixed order, so the storm shape is a pure function of the
-  // shard seed.
-  // 1. Background floor: ordinary library alerts on the legacy path.
-  if (options.background_per_day > 0.0) {
-    const Duration mean_gap{static_cast<std::int64_t>(
-        86400.0 / options.background_per_day * 1e6)};
-    TimePoint t = start;
-    while (true) {
-      t += rng.exponential_duration(mean_gap);
-      if (t >= end) break;
-      submit_at(t, "src", "K", /*critical=*/false);
-    }
-  }
-  // 2. Critical stream: sparse, high-importance, admission-exempt.
-  if (options.critical_per_day > 0.0) {
-    const Duration mean_gap{static_cast<std::int64_t>(
-        86400.0 / options.critical_per_day * 1e6)};
-    TimePoint t = start;
-    while (true) {
-      t += rng.exponential_duration(mean_gap);
-      if (t >= end) break;
-      submit_at(t, "aladdin", "Motion", /*critical=*/true);
-    }
-  }
-  // 3. Aladdin sensor cascades: one trigger, many sensors, seconds
-  // apart — the correlated burst admission control exists for.
-  for (int c = 0; c < options.sensor_cascades; ++c) {
-    TimePoint t = start + rng.uniform_duration(Duration::zero(), end - start);
-    const Duration mean_gap{static_cast<std::int64_t>(
-        to_seconds(options.cascade_spread) /
-        std::max(1, options.cascade_size) * 1e6)};
-    for (int i = 0; i < options.cascade_size; ++i) {
-      if (i > 0) t += rng.exponential_duration(mean_gap);
-      if (t >= end) break;
-      submit_at(t, "aladdin", "Motion", /*critical=*/false);
-    }
-  }
-  // 4. Proxy poll bursts: a poll cycle finds many changed pages.
-  for (int b = 0; b < options.poll_bursts; ++b) {
-    TimePoint t = start + rng.uniform_duration(Duration::zero(), end - start);
-    const Duration mean_gap{static_cast<std::int64_t>(
-        to_seconds(options.burst_spread) / std::max(1, options.burst_size) *
-        1e6)};
-    for (int i = 0; i < options.burst_size; ++i) {
-      if (i > 0) t += rng.exponential_duration(mean_gap);
-      if (t >= end) break;
-      submit_at(t, "proxy", "Poll", /*critical=*/false);
-    }
-  }
-
-  world.sim.run_until(end + options.drain);
-
-  // Epoch boundary: every closure holding an arena view has fired (or
-  // will never run); rewind the id scratch in O(1).
-  world.id_arena.reset();
-
-  // --- Horizon-time sweep (see chaos_workload.cc) ---------------------------
-  // An unresolved alert must be recoverable: in the persistent log or
-  // unread in the buddy's mailbox. Shed and coalesced alerts are
-  // terminal and never reach this sweep.
-  util::FlatSet<std::string> mailbox_ids;
-  for (const email::Email& mail :
-       world.email_server.mailbox(world.host->email_address())) {
-    const auto it = mail.headers.find("alert_id");
-    if (it != mail.headers.end()) mailbox_ids.insert(it->second);
-  }
-  for (const std::string& id : checker.unresolved()) {
-    if (world.host->alert_log().contains(id) || mailbox_ids.count(id) > 0) {
-      checker.on_recoverable(id);
-    }
-  }
-  sim::InvariantChecker::LoggedNowMap logged_now;
-  for (const auto& [id, submitted] : sent_at) {
-    (void)submitted;
-    logged_now[id] = world.host->alert_log().contains(id);
-  }
-  const sim::InvariantChecker::Report report = checker.check(&logged_now);
-  report.export_to(result.counters);
-  if (!report.ok()) {
-    result.violation_details = report.describe(world.trace.get());
-  }
-
-  // Delivery scoring, plus the critical-alert latency the defenses
-  // protect. Deterministic sorted_items() order, like the other
-  // workloads.
-  result.counters.bump("alerts.sent", sent);
-  result.counters.bump("alerts.critical",
-                       static_cast<std::int64_t>(critical_ids.size()));
-  std::int64_t delivered = 0;
-  std::int64_t critical_delivered = 0;
-  std::int64_t duplicates = 0;
-  for (const auto& [id, submitted] : sent_at.sorted_items()) {
-    const auto seen = world.user->first_seen(id);
-    if (!seen) continue;
-    ++delivered;
-    const double latency = to_seconds(*seen - submitted);
-    result.delivery_latency.add(latency);
-    result.delivery_histogram.add(latency);
-    if (critical_ids.count(id) > 0) {
-      ++critical_delivered;
-      result.critical_latency.add(latency);
-    }
-    duplicates += world.user->sightings(id) - 1;
-  }
-  result.counters.bump("alerts.delivered", delivered);
-  result.counters.bump("alerts.critical_delivered", critical_delivered);
-  result.counters.bump("alerts.lost", sent - delivered);
-  result.counters.bump("alerts.duplicates", duplicates);
-
-  // Overload accounting, aggregated across MAB incarnations, plus the
-  // transport sheds and any chaos that was injected.
-  const Counters mab_totals = world.host->mab_stats_total();
-  copy_counters_with_prefix(mab_totals, "admission.", result.counters);
-  copy_counters_with_prefix(mab_totals, "coalesce.", result.counters);
-  copy_counters_with_prefix(mab_totals, "inbox.", result.counters);
-  copy_counters_with_prefix(mab_totals, "routing.shed", result.counters);
-  copy_counters_with_prefix(world.bus.stats(), "pending.shed", result.counters);
-  copy_counters_with_prefix(world.bus.stats(), "chaos.", result.counters);
-  copy_counters_with_prefix(world.host->stats(), "chaos.", result.counters);
-
-  result.events_processed = world.sim.events_processed();
-  if (world.trace) result.trace = std::move(*world.trace);
-  return result;
 }
 
 }  // namespace simba::fleet

@@ -65,8 +65,9 @@ struct StormWorkloadOptions {
 };
 
 /// Builds one storm UserWorld from the shard seed, replays the storm,
-/// scores the InvariantChecker at horizon, and reports. On top of the
-/// chaos-workload counter set it emits:
+/// scores the InvariantChecker at horizon, and reports: one epoch of
+/// the fleet driver (fleet/resume.h), which numbers alerts in arrival
+/// order. On top of the chaos-workload counter set it emits:
 ///   alerts.critical           — critical alerts submitted
 ///   invariant.shed/coalesced  — terminal overload outcomes
 ///   admission.* / coalesce.* / inbox.* / routing.* — MAB-side

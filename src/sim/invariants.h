@@ -20,7 +20,7 @@
 //     with duplicates disallowed any repeat sighting is a violation.
 //
 // One checker per world; the chaos fleet workload
-// (src/fleet/chaos_workload.cc) feeds it and folds its report into the
+// (src/fleet/driver.cc) feeds it and folds its report into the
 // shard counters, so violations surface through the deterministic
 // merged fleet report.
 #pragma once

@@ -127,7 +127,7 @@ class SnapshotReader {
 };
 
 // --- Codecs for the util building blocks -----------------------------------
-// Core/fleet-level codecs live with their modules (src/fleet/resume.cc);
+// Core/fleet-level codecs live with their modules (src/fleet/checkpoint.cc);
 // these cover the types everything else is built from.
 
 void put_rng(SnapshotWriter& w, const Rng::State& state);
