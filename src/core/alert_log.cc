@@ -45,29 +45,34 @@ std::vector<std::string> AlertLog::power_loss(TimePoint now, Rng& rng,
   if (torn_probability <= 0.0 || records_.empty()) return torn;
   // Unsynced appends are the ones whose write window is still open.
   // They necessarily form a suffix of the arrival-ordered records, but
-  // each is torn independently, so rebuild rather than truncate.
-  std::vector<Record> kept;
-  kept.reserve(records_.size());
-  for (Record& record : records_) {
+  // each is torn independently. Decide the torn set first: a cut that
+  // tears nothing must leave the records untouched.
+  std::vector<bool> lost(records_.size(), false);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const Record& record = records_[i];
     const bool unsynced =
         !record.processed && record.received_at + write_latency_ > now;
     if (unsynced && rng.chance(torn_probability)) {
+      lost[i] = true;
       torn.push_back(record.alert.id);
-      continue;
     }
-    kept.push_back(std::move(record));
   }
-  if (!torn.empty()) {
-    records_ = std::move(kept);
-    index_.clear();
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      index_[records_[i].alert.id] = i;
-    }
-    stats_.bump("torn_appends", static_cast<std::int64_t>(torn.size()));
-    if (trace_ != nullptr) {
-      for (const std::string& id : torn) {
-        trace_->emit(id, "log", "torn", now, "append lost to power cut");
-      }
+  if (torn.empty()) return torn;
+
+  std::vector<Record> kept;
+  kept.reserve(records_.size() - torn.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    if (!lost[i]) kept.push_back(std::move(records_[i]));
+  }
+  records_ = std::move(kept);
+  index_.clear();
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    index_[records_[i].alert.id] = i;
+  }
+  stats_.bump("torn_appends", static_cast<std::int64_t>(torn.size()));
+  if (trace_ != nullptr) {
+    for (const std::string& id : torn) {
+      trace_->emit(id, "log", "torn", now, "append lost to power cut");
     }
   }
   return torn;

@@ -471,6 +471,30 @@ TEST(AlertLogTest, PowerLossSparesProcessedRecords) {
   EXPECT_TRUE(log.contains("lucky"));
 }
 
+TEST(AlertLogTest, PowerLossTearingNothingKeepsRecordsIntact) {
+  // A cut that tears nothing must leave every record as it was, so a
+  // later cut that does tear cannot take the earlier records with it.
+  AlertLog log;
+  Rng rng(7);
+  log.append(make_alert("a"), kTimeZero);
+  log.append(make_alert("b"), kTimeZero + seconds(1));
+  EXPECT_TRUE(log.power_loss(kTimeZero + seconds(5), rng, 1.0).empty());
+
+  log.append(make_alert("fresh"), kTimeZero + seconds(10));
+  const auto torn =
+      log.power_loss(kTimeZero + seconds(10) + millis(100), rng, 1.0);
+  ASSERT_EQ(torn.size(), 1u);
+  EXPECT_EQ(torn[0], "fresh");
+  EXPECT_TRUE(log.contains("a"));
+  EXPECT_TRUE(log.contains("b"));
+  const auto pending = log.unprocessed();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].id, "a");
+  EXPECT_EQ(pending[0].subject, "s");
+  EXPECT_EQ(pending[1].id, "b");
+  EXPECT_EQ(pending[1].subject, "s");
+}
+
 TEST(AlertLogTest, PowerLossRebuildsIndexConsistently) {
   // Tearing a middle record must leave the survivors addressable and
   // the torn id free for a clean re-append by the failover resend.
