@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "fleet/user_world.h"
 #include "util/strings.h"
 
 namespace simba::bench {
@@ -112,34 +113,8 @@ ExperimentWorld::ExperimentWorld(std::uint64_t seed)
       im_server(sim, bus),
       email_server(sim),
       sms_gateway(sim, "sms.example.net") {
-  // IM hop: corporate network + IM service; 150-450 ms per hop gives
-  // the paper's sub-second one-way time over the two-hop path.
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(300);
-  im_link.loss_probability = 0.001;
-  bus.set_default_link(im_link);
-
-  // Email: mostly seconds-to-a-minute, 5% multi-hour tail reaching
-  // days, a little silent loss — Section 3.1's "seconds to days".
-  email::EmailDelayModel mail;
-  mail.fast_probability = 0.95;
-  mail.fast_median = seconds(20);
-  mail.fast_sigma = 1.0;
-  mail.slow_median = hours(2);
-  mail.slow_sigma = 1.4;
-  mail.loss_probability = 0.003;
-  email_server.set_delay_model(mail);
-
-  // SMS: "a similar range of unpredictability" per the paper.
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 0.90;
-  sms_model.fast_median = seconds(18);
-  sms_model.fast_sigma = 0.9;
-  sms_model.slow_median = minutes(45);
-  sms_model.slow_sigma = 1.3;
-  sms_model.loss_probability = 0.01;
-  sms_gateway.set_delay_model(sms_model);
+  fleet::apply_channel_models(bus, email_server, sms_gateway,
+                              fleet::ModelFidelity::kCalibrated);
   sms_gateway.attach_to(email_server);
 }
 

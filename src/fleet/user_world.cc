@@ -24,56 +24,6 @@ sim::OutagePlan drop_finished(const sim::OutagePlan& plan, TimePoint now) {
   return filtered;
 }
 
-// Mirrors tests/test_world.h: fast, loss-free channels for unit tests.
-void apply_fast_models(UserWorld& world) {
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(200);
-  im_link.loss_probability = 0.0;
-  world.bus.set_default_link(im_link);
-
-  email::EmailDelayModel mail;
-  mail.fast_probability = 1.0;
-  mail.fast_median = seconds(6);
-  mail.fast_sigma = 0.3;
-  mail.loss_probability = 0.0;
-  world.email_server.set_delay_model(mail);
-
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 1.0;
-  sms_model.fast_median = seconds(12);
-  sms_model.fast_sigma = 0.3;
-  sms_model.loss_probability = 0.0;
-  world.sms_gateway.set_delay_model(sms_model);
-}
-
-// Mirrors bench/common.cc: the Section-5-calibrated channel models.
-void apply_calibrated_models(UserWorld& world) {
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(300);
-  im_link.loss_probability = 0.001;
-  world.bus.set_default_link(im_link);
-
-  email::EmailDelayModel mail;
-  mail.fast_probability = 0.95;
-  mail.fast_median = seconds(20);
-  mail.fast_sigma = 1.0;
-  mail.slow_median = hours(2);
-  mail.slow_sigma = 1.4;
-  mail.loss_probability = 0.003;
-  world.email_server.set_delay_model(mail);
-
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 0.90;
-  sms_model.fast_median = seconds(18);
-  sms_model.fast_sigma = 0.9;
-  sms_model.slow_median = minutes(45);
-  sms_model.slow_sigma = 1.3;
-  sms_model.loss_probability = 0.01;
-  world.sms_gateway.set_delay_model(sms_model);
-}
-
 core::MabConfig fleet_config(const std::string& owner,
                              const std::string& sms_address,
                              const std::string& email_address,
@@ -137,6 +87,44 @@ core::MabConfig fleet_config(const std::string& owner,
 
 }  // namespace
 
+void apply_channel_models(net::MessageBus& bus,
+                          email::EmailServer& email_server,
+                          sms::SmsGateway& sms_gateway,
+                          ModelFidelity fidelity) {
+  const bool fast = fidelity == ModelFidelity::kFast;
+  // IM hop: corporate network + IM service; 150-350 ms (fast) or
+  // 150-450 ms (calibrated) per hop gives the paper's sub-second
+  // one-way time over the two-hop path.
+  net::LinkModel im_link;
+  im_link.base_latency = millis(150);
+  im_link.jitter = millis(fast ? 200 : 300);
+  im_link.loss_probability = fast ? 0.0 : 0.001;
+  bus.set_default_link(im_link);
+
+  // Email: seconds when fast; calibrated, mostly seconds-to-a-minute
+  // with a 5% multi-hour tail reaching days and a little silent loss —
+  // Section 3.1's "seconds to days".
+  email::EmailDelayModel mail;
+  mail.fast_probability = fast ? 1.0 : 0.95;
+  mail.fast_median = seconds(fast ? 6 : 20);
+  mail.fast_sigma = fast ? 0.3 : 1.0;
+  mail.slow_median = hours(2);
+  mail.slow_sigma = 1.4;
+  mail.loss_probability = fast ? 0.0 : 0.003;
+  email_server.set_delay_model(mail);
+
+  // SMS: tens of seconds when fast; calibrated, "a similar range of
+  // unpredictability" per the paper.
+  sms::SmsDelayModel sms_model;
+  sms_model.fast_probability = fast ? 1.0 : 0.90;
+  sms_model.fast_median = seconds(fast ? 12 : 18);
+  sms_model.fast_sigma = fast ? 0.3 : 0.9;
+  sms_model.slow_median = minutes(45);
+  sms_model.slow_sigma = 1.3;
+  sms_model.loss_probability = fast ? 0.0 : 0.01;
+  sms_gateway.set_delay_model(sms_model);
+}
+
 UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     : sim(seed),
       bus(sim),
@@ -165,11 +153,7 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     }
     bus.set_trace(trace.get());
   }
-  if (options.fidelity == ModelFidelity::kFast) {
-    apply_fast_models(*this);
-  } else {
-    apply_calibrated_models(*this);
-  }
+  apply_channel_models(bus, email_server, sms_gateway, options.fidelity);
   sms_gateway.attach_to(email_server);
   if (options.bus_pending_bound != 0) {
     bus.set_pending_bound(options.bus_pending_bound);

@@ -26,11 +26,17 @@ namespace simba::fleet {
 
 struct WorldState;
 
-/// Delay-model fidelity. Tests want the fast loss-free models of
-/// tests/test_world.h; benches want the Section-5-calibrated models of
-/// bench/common.cc. Both are reproduced here so src/fleet depends on
-/// neither tree.
+/// Delay-model fidelity: fast loss-free channels for tests, or the
+/// Section-5-calibrated channels for benches.
 enum class ModelFidelity { kFast, kCalibrated };
+
+/// The one channel-model table: sets the IM link, e-mail and SMS delay
+/// models of one fidelity. Every world builds from it — UserWorld, the
+/// bench ExperimentWorld and the test World.
+void apply_channel_models(net::MessageBus& bus,
+                          email::EmailServer& email_server,
+                          sms::SmsGateway& sms_gateway,
+                          ModelFidelity fidelity);
 
 struct UserWorldOptions {
   std::string user = "user";
@@ -51,11 +57,12 @@ struct UserWorldOptions {
   /// injects nothing.
   sim::ChaosScenario chaos;
   /// Builds the per-world InvariantChecker and wires the user's
-  /// sighting feed into it. The chaos workload turns this on.
+  /// sighting feed into it. The fleet driver passes its own checker
+  /// through shared_invariants instead.
   bool track_invariants = false;
   /// Builds a util::Trace and arms lifecycle tracing in the bus, the
   /// alert log, and every MAB incarnation. Off by default: the portal
-  /// scale bench opts in, the chaos workload traces always.
+  /// scale bench opts in, chaos and storm runs trace always.
   bool trace = false;
   /// Overload defenses (DESIGN.md §14): token-bucket admission,
   /// semantic coalescing, priority lanes, bounded queues. The all-zero

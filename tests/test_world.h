@@ -29,26 +29,8 @@ struct World {
         im_server(sim, bus),
         email_server(sim),
         sms_gateway(sim, "sms.example.net") {
-    // IM links: ~200-500 ms per hop (the paper's sub-second one-way).
-    net::LinkModel im_link;
-    im_link.base_latency = millis(150);
-    im_link.jitter = millis(200);
-    im_link.loss_probability = 0.0;
-    bus.set_default_link(im_link);
-    // Email: seconds, no tail, no loss (tests override when needed).
-    email::EmailDelayModel fast_email;
-    fast_email.fast_probability = 1.0;
-    fast_email.fast_median = seconds(6);
-    fast_email.fast_sigma = 0.3;
-    fast_email.loss_probability = 0.0;
-    email_server.set_delay_model(fast_email);
-    // SMS: tens of seconds, no loss.
-    sms::SmsDelayModel fast_sms;
-    fast_sms.fast_probability = 1.0;
-    fast_sms.fast_median = seconds(12);
-    fast_sms.fast_sigma = 0.3;
-    fast_sms.loss_probability = 0.0;
-    sms_gateway.set_delay_model(fast_sms);
+    fleet::apply_channel_models(bus, email_server, sms_gateway,
+                                fleet::ModelFidelity::kFast);
     sms_gateway.attach_to(email_server);
   }
 
