@@ -25,7 +25,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/reference_scheduler.h"
+#include "reference_scheduler.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/time.h"
