@@ -3,10 +3,15 @@
 // quick and deterministic. Experiments use realistic models instead.
 #pragma once
 
+#include <cstdint>
+
 #include "email/email_server.h"
+#include "fleet/resume.h"
+#include "fleet/storm_workload.h"
 #include "fleet/user_world.h"
 #include "im/im_server.h"
 #include "net/bus.h"
+#include "sim/chaos.h"
 #include "sim/simulator.h"
 #include "sms/sms.h"
 
@@ -19,6 +24,54 @@ inline fleet::UserWorldOptions fast_fleet_world() {
   fleet::UserWorldOptions options;
   options.fidelity = fleet::ModelFidelity::kFast;
   options.email_check_interval = minutes(15);
+  return options;
+}
+
+/// The resumable two-shard fleet shape of one workload kind that the
+/// resume-equivalence matrix and the checkpoint-image goldens share:
+/// six fast-model hours plus an hour of drain over `epochs` epochs.
+inline fleet::ResumableOptions resume_options(fleet::ResumeKind kind,
+                                              std::uint64_t seed,
+                                              int epochs = 3) {
+  fleet::ResumableOptions options;
+  options.fleet.shards = 2;
+  options.fleet.threads = 1;
+  options.fleet.base_seed = seed;
+  options.epochs = epochs;
+  // Faults across the whole horizon, so some straddle or follow the
+  // checkpoint boundary — the interesting restore cases.
+  const sim::ChaosScenario faults = sim::ChaosScenario::preset("flaky_network");
+  if (kind == fleet::ResumeKind::kPortal) {
+    fleet::PortalWorkloadOptions portal;
+    portal.world = fast_fleet_world();
+    portal.alerts_per_user_day = 72.0;
+    portal.horizon = hours(6);
+    portal.drain = hours(1);
+    options.workload = portal;
+  } else if (kind == fleet::ResumeKind::kChaos) {
+    fleet::ChaosWorkloadOptions chaos;
+    chaos.world = fast_fleet_world();
+    chaos.scenario = faults;
+    chaos.horizon = hours(6);
+    chaos.drain = hours(1);
+    options.workload = chaos;
+  } else {
+    fleet::StormWorkloadOptions storm;
+    storm.world = fast_fleet_world();
+    storm.scenario = faults;
+    storm.horizon = hours(6);
+    storm.drain = hours(1);
+    // Defenses on: open coalescing windows and token-bucket effects
+    // must survive the checkpoint inside MabHost::State.
+    storm.world.overload = fleet::storm_defenses();
+    storm.background_per_day = 24.0;
+    storm.critical_per_day = 48.0;
+    storm.sensor_cascades = 2;
+    storm.cascade_size = 15;
+    storm.poll_bursts = 2;
+    storm.burst_size = 20;
+    options.workload = storm;
+  }
   return options;
 }
 

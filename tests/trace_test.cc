@@ -1,29 +1,35 @@
-// Golden suite: the lifecycle trace of a single-user portal run and
-// the correctness report of a small fleet are pure functions of the
-// seed, so their canonical exports are byte-identical run over run,
-// platform over platform. Each seed's trace is checked against a
-// golden file under testdata/traces/, and each workload entry point's
-// correctness_json() against one under testdata/reports/.
+// Golden suite: the lifecycle trace of a single-user portal run, the
+// correctness report of a small fleet and a fleet checkpoint image are
+// pure functions of the seed, so their canonical exports are
+// byte-identical run over run, platform over platform. Each seed's
+// trace is checked against a golden file under testdata/traces/, each
+// workload entry point's correctness_json() against one under
+// testdata/reports/, and each resumable kind's image size and hash
+// against one under testdata/checkpoints/.
 //
 // When a deliberate change to the alert path alters the goldens,
 // regenerate them and review the diff like any other code:
 //   ./build/tests/trace_test --regen
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "fleet/chaos_workload.h"
 #include "fleet/fleet.h"
 #include "fleet/portal_workload.h"
+#include "fleet/resume.h"
 #include "fleet/storm_workload.h"
 #include "sim/chaos.h"
 #include "test_world.h"
+#include "util/flat_map.h"
 #include "util/trace.h"
 
 namespace simba::fleet {
@@ -33,6 +39,7 @@ bool g_regen = false;
 
 const char* const kTestdata = SIMBA_TRACE_TESTDATA;
 const char* const kReportTestdata = SIMBA_REPORT_TESTDATA;
+const char* const kCheckpointTestdata = SIMBA_CHECKPOINT_TESTDATA;
 
 /// Compares `actual` with the golden file at `path`, or rewrites the
 /// file under --regen.
@@ -227,6 +234,51 @@ INSTANTIATE_TEST_SUITE_P(
     EntryPoints, GoldenReportTest,
     ::testing::Range(std::size_t{0}, report_cases().size()),
     [](const auto& info) { return report_cases()[info.param].name; });
+
+// --- Checkpoint image goldens -----------------------------------------------
+// One fleet image per resumable kind, cut after epoch 1 of 3 with the
+// resume suite's shapes at seed 11. The golden pins the image's byte
+// count and 64-bit FNV-1a hash, so any change to the checkpoint format
+// shows here even when resume equivalence still holds.
+
+struct ImageCase {
+  std::string name;
+  ResumableOptions options;
+};
+
+std::vector<ImageCase> image_cases() {
+  ResumableOptions source_im =
+      testing::resume_options(ResumeKind::kPortal, 11);
+  std::get<PortalWorkloadOptions>(source_im.workload).traffic =
+      Traffic::kSourceIm;
+  return {{"portal_email", testing::resume_options(ResumeKind::kPortal, 11)},
+          {"portal_source_im", source_im},
+          {"chaos", testing::resume_options(ResumeKind::kChaos, 11)},
+          {"storm", testing::resume_options(ResumeKind::kStorm, 11)}};
+}
+
+class GoldenCheckpointTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenCheckpointTest, ImageMatchesGoldenSizeAndHash) {
+  const ImageCase image_case = image_cases()[GetParam()];
+  ResumeControl cut;
+  cut.checkpoint_after_epoch = 1;
+  cut.stop_at_checkpoint = true;
+  const std::string image =
+      run_resumable_fleet(image_case.options, cut).checkpoint;
+  ASSERT_FALSE(image.empty());
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(util::fnv1a(image)));
+  expect_golden(
+      std::string(kCheckpointTestdata) + "/" + image_case.name + ".txt",
+      "bytes " + std::to_string(image.size()) + "\nfnv1a64 " + hash + "\n");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, GoldenCheckpointTest,
+    ::testing::Range(std::size_t{0}, image_cases().size()),
+    [](const auto& info) { return image_cases()[info.param].name; });
 
 TEST(ZeroRateTest, PortalAndChaosSendNothing) {
   // A zero arrival rate is an empty plan, not an unbounded one.
