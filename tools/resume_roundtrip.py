@@ -11,10 +11,13 @@ exactly as a crash-restart would:
   C: fresh process decodes ckpt.bin, finishes   -> c.json + c.jsonl
 
 Pass criteria: A and C byte-identical in the correctness report and the
-merged JSONL lifecycle trace, and a truncated image must make the
-resume leg exit nonzero (clean rejection, not UB).
+merged JSONL lifecycle trace, and a truncated image must be rejected
+cleanly: the resume leg exits with code 1 and prints "resume failed:"
+on stderr (a crash or an abort is not a clean rejection).
 
-Usage: resume_roundtrip.py /path/to/bench_portal_scale
+Usage: resume_roundtrip.py /path/to/bench
+where bench is bench_portal_scale (portal e-mail kind) or
+bench_fault_month (chaos kind).
 """
 
 import json
@@ -26,12 +29,14 @@ import tempfile
 COMMON = ["--users", "2", "--threads", "1", "--seed", "7", "--epochs", "3"]
 
 
-def run(bench, *extra, expect_failure=False):
+def run(bench, *extra, expect_rejection=False):
     cmd = [str(bench)] + COMMON + list(extra)
     proc = subprocess.run(cmd, capture_output=True, text=True)
-    if expect_failure:
-        if proc.returncode == 0:
-            fail(f"{' '.join(cmd)}: expected nonzero exit, got 0")
+    if expect_rejection:
+        if proc.returncode != 1 or "resume failed:" not in proc.stderr:
+            fail(f"{' '.join(cmd)}: expected a clean rejection (exit 1 and "
+                 f"'resume failed:' on stderr), got exit {proc.returncode}\n"
+                 f"{proc.stderr}")
     elif proc.returncode != 0:
         fail(f"{' '.join(cmd)}: exit {proc.returncode}\n{proc.stderr}")
     return proc
@@ -44,7 +49,7 @@ def fail(message):
 
 def main():
     if len(sys.argv) != 2:
-        fail("usage: resume_roundtrip.py /path/to/bench_portal_scale")
+        fail("usage: resume_roundtrip.py /path/to/bench")
     bench = pathlib.Path(sys.argv[1])
     if not bench.exists():
         fail(f"bench binary not found: {bench}")
@@ -91,7 +96,7 @@ def main():
         # Negative leg: a truncated image must be rejected cleanly.
         truncated = d / "truncated.bin"
         truncated.write_bytes(image[: len(image) // 2])
-        run(bench, "--resume-from", truncated, expect_failure=True)
+        run(bench, "--resume-from", truncated, expect_rejection=True)
 
         print(f"PASS: cross-process round trip byte-identical "
               f"(checkpoint {len(image)} bytes, "
