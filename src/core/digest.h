@@ -50,7 +50,7 @@ class DigestStore {
   State save_state() const { return State{entries_, stats_}; }
   void restore_state(State state) {
     entries_ = std::move(state.entries);
-    stats_.restore_state(std::move(state.stats));
+    stats_ = std::move(state.stats);
   }
 
  private:

@@ -231,8 +231,8 @@ void MabHost::restore_state(State state) {
   digest_.restore_state(std::move(state.digest));
   coalescer_.restore_state(state.coalescer);
   mab_incarnations_ = state.mab_incarnations;
-  stats_.restore_state(std::move(state.stats));
-  mab_totals_.restore_state(std::move(state.mab_totals));
+  stats_ = std::move(state.stats);
+  mab_totals_ = std::move(state.mab_totals);
 }
 
 }  // namespace simba::core

@@ -184,7 +184,7 @@ void UserEndpoint::restore_state(State state) {
     seen_[s.alert_id] = Sighting{s.first, std::move(s.channel), s.count};
   }
   email_cursor_ = static_cast<std::size_t>(state.email_cursor);
-  stats_.restore_state(std::move(state.stats));
+  stats_ = std::move(state.stats);
 }
 
 }  // namespace simba::core

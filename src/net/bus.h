@@ -117,9 +117,7 @@ class MessageBus {
   /// bag across a crash-restart. In-flight messages are deliberately
   /// NOT carried — they die with the process image, and end-to-end
   /// recovery flows through the pessimistic log, not the wire.
-  void restore_stats(Counters stats) {
-    stats_.restore_state(std::move(stats));
-  }
+  void restore_stats(Counters stats) { stats_ = std::move(stats); }
 
   /// In-flight pool introspection for tests and benches: slots ever
   /// created, and slots currently free. Steady-state traffic plateaus

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 namespace simba::sim {
 namespace {
@@ -282,19 +281,7 @@ std::uint64_t SnapshotReader::raw_u64() {
   return v;
 }
 
-// --- util codecs -----------------------------------------------------------
-
-void put_rng(SnapshotWriter& w, const Rng::State& state) {
-  for (std::uint64_t word : state.s) w.u64(word);
-  w.u64(state.seed);
-}
-
-Rng::State get_rng(SnapshotReader& r) {
-  Rng::State state;
-  for (std::uint64_t& word : state.s) word = r.u64();
-  state.seed = r.u64();
-  return state;
-}
+// --- Counter-bag codec -----------------------------------------------------
 
 void put_counters(SnapshotWriter& w, const Counters& counters) {
   const auto sorted = counters.all();
@@ -314,54 +301,6 @@ Counters get_counters(SnapshotReader& r) {
     if (r.ok()) counters.bump(name, value);
   }
   return counters;
-}
-
-void put_summary(SnapshotWriter& w, const Summary::State& state) {
-  w.u64(state.samples.size());
-  for (double sample : state.samples) w.f64(sample);
-  w.boolean(state.sorted);
-  w.f64(state.mean);
-  w.f64(state.m2);
-  w.f64(state.sum);
-  w.f64(state.min);
-  w.f64(state.max);
-}
-
-Summary::State get_summary(SnapshotReader& r) {
-  Summary::State state;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    state.samples.push_back(r.f64());
-  }
-  state.sorted = r.boolean();
-  state.mean = r.f64();
-  state.m2 = r.f64();
-  state.sum = r.f64();
-  state.min = r.f64();
-  state.max = r.f64();
-  return state;
-}
-
-void put_histogram(SnapshotWriter& w, const Histogram::State& state) {
-  w.u64(state.boundaries.size());
-  for (double b : state.boundaries) w.f64(b);
-  w.u64(state.counts.size());
-  for (std::uint64_t c : state.counts) w.u64(c);
-  w.u64(state.total);
-}
-
-Histogram::State get_histogram(SnapshotReader& r) {
-  Histogram::State state;
-  const std::uint64_t boundaries = r.u64();
-  for (std::uint64_t i = 0; i < boundaries && r.ok(); ++i) {
-    state.boundaries.push_back(r.f64());
-  }
-  const std::uint64_t counts = r.u64();
-  for (std::uint64_t i = 0; i < counts && r.ok(); ++i) {
-    state.counts.push_back(r.u64());
-  }
-  state.total = r.u64();
-  return state;
 }
 
 }  // namespace simba::sim

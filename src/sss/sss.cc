@@ -127,33 +127,6 @@ std::vector<std::string> SssServer::variable_names() const {
   return out;
 }
 
-SssServer::State SssServer::save_state() const {
-  State state;
-  state.types.assign(types_.begin(), types_.end());
-  state.variables.reserve(variables_.size());
-  for (const auto& [name, v] : variables_) state.variables.push_back(v);
-  state.next_sub = next_sub_;
-  state.stats = stats_;
-  return state;
-}
-
-void SssServer::restore_state(State state) {
-  for (const auto& [name, event] : timeout_events_) sim_.cancel(event);
-  timeout_events_.clear();
-  types_.clear();
-  types_.insert(state.types.begin(), state.types.end());
-  variables_.clear();
-  for (Variable& v : state.variables) {
-    const std::string name = v.name;
-    variables_[name] = std::move(v);
-  }
-  next_sub_ = state.next_sub;
-  stats_.restore_state(std::move(state.stats));
-  for (const auto& [name, v] : variables_) {
-    if (!v.timed_out) arm_timeout(name);
-  }
-}
-
 SubscriptionId SssServer::subscribe_variable(
     const std::string& name, std::function<void(const Event&)> cb) {
   subscriptions_.push_back(

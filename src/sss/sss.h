@@ -83,23 +83,6 @@ class SssServer {
   Status remove(const std::string& name);
   std::vector<std::string> variable_names() const;
 
-  // --- Checkpoint ----------------------------------------------------------
-  /// Checkpoint state (sim/snapshot.h): defined types plus every
-  /// variable verbatim (value, version, origin, timeout flag). Restore
-  /// re-arms the timeout timer of every live refresh-tracked variable
-  /// from the restore instant — a crash-restart restarts the grace
-  /// period, exactly as a rebooted daemon would. Subscriptions are
-  /// process-lifetime callbacks and are NOT carried.
-  struct State {
-    std::vector<std::string> types;
-    std::vector<Variable> variables;  // sorted by name (map order)
-    SubscriptionId next_sub = 1;
-    Counters stats;
-  };
-  State save_state() const;
-  /// Call on a freshly constructed server.
-  void restore_state(State state);
-
   // --- Subscriptions ---------------------------------------------------------
   SubscriptionId subscribe_variable(const std::string& name,
                                     std::function<void(const Event&)> cb);

@@ -44,22 +44,6 @@ class Rng {
   /// randomness from this stream.
   Rng child(std::string_view name) const;
 
-  /// Serializable generator position (sim/snapshot.h). Because child
-  /// streams derive from the *seed*, not the stream position, restoring
-  /// a state reproduces both the exact continuation of this stream and
-  /// every child derivation — a child re-derived after restore emits
-  /// the same sequence it would have before the checkpoint, whether or
-  /// not it had ever been drawn from.
-  struct State {
-    std::array<std::uint64_t, 4> s{};
-    std::uint64_t seed = 0;
-  };
-  State state() const { return State{s_, seed_}; }
-  void restore(const State& state) {
-    s_ = state.s;
-    seed_ = state.seed;
-  }
-
   /// Uniform double in [0, 1).
   double uniform();
   /// Uniform double in [lo, hi).

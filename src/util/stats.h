@@ -47,33 +47,6 @@ class Summary {
   /// given printf format for values (default "%.3f").
   std::string report(const char* value_format = "%.3f") const;
 
-  /// Checkpoint state (sim/snapshot.h): every field verbatim, including
-  /// the retained samples in their *current* order and the sorted flag.
-  /// Re-adding the samples one by one would NOT restore bit-exactly —
-  /// percentile() sorts samples_ in place, and Welford replay depends
-  /// on insertion order — so restore is field-for-field.
-  struct State {
-    std::vector<double> samples;
-    bool sorted = true;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  State save_state() const {
-    return State{samples_, sorted_, mean_, m2_, sum_, min_, max_};
-  }
-  void restore_state(State state) {
-    samples_ = std::move(state.samples);
-    sorted_ = state.sorted;
-    mean_ = state.mean;
-    m2_ = state.m2;
-    sum_ = state.sum;
-    min_ = state.min;
-    max_ = state.max;
-  }
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
@@ -106,8 +79,6 @@ class Counters {
   /// Adds every counter from `other` into this bag (sums on key
   /// collision, inserts otherwise). Associative and commutative.
   void merge(const Counters& other);
-  /// Checkpoint restore (sim/snapshot.h): replaces the whole bag.
-  void restore_state(Counters state) { counts_ = std::move(state.counts_); }
   std::string report() const;
 
  private:
@@ -135,19 +106,6 @@ class Histogram {
   void merge(const Histogram& other);
   /// Multi-line ASCII rendering with bars, for bench output.
   std::string render(const char* unit = "s") const;
-
-  /// Checkpoint state (sim/snapshot.h).
-  struct State {
-    std::vector<double> boundaries;
-    std::vector<std::size_t> counts;
-    std::size_t total = 0;
-  };
-  State save_state() const { return State{boundaries_, counts_, total_}; }
-  void restore_state(State state) {
-    boundaries_ = std::move(state.boundaries);
-    counts_ = std::move(state.counts);
-    total_ = state.total;
-  }
 
  private:
   std::vector<double> boundaries_;

@@ -84,6 +84,25 @@ TEST(RngTest, ChildDoesNotConsumeParentState) {
   EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(RngTest, ChildDerivesFromSeedNotPosition) {
+  // Epoch rebuilds re-derive every component stream from a fresh
+  // parent, so a child must not depend on how far its parent had drawn.
+  Rng drawn(7);
+  for (int i = 0; i < 5; ++i) (void)drawn.next();
+  Rng child_of_drawn = drawn.child("sms.never_used");
+  Rng child_of_fresh = Rng(7).child("sms.never_used");
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(child_of_drawn.next(), child_of_fresh.next());
+  }
+  // And grandchildren, as MAB incarnations derive from the host stream:
+  // one derived from a child that has drawn equals one from a fresh child.
+  Rng grand_of_drawn = child_of_drawn.child("leg.2");
+  Rng grand_of_fresh = Rng(7).child("sms.never_used").child("leg.2");
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(grand_of_drawn.next(), grand_of_fresh.next());
+  }
+}
+
 TEST(RngTest, UniformInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10'000; ++i) {
