@@ -66,24 +66,7 @@ class AlertLog {
   /// marks, and torn records emit instant events.
   void set_trace(util::Trace* trace) { trace_ = trace; }
 
-  /// Checkpoint state (sim/snapshot.h). The log *is* the paper's
-  /// persistence story, so it is carried verbatim across a
-  /// crash-restart: records in arrival order plus the counter bag; the
-  /// id index is rebuilt on restore.
-  struct SavedRecord {
-    Alert alert;
-    TimePoint received_at{};
-    TimePoint processed_at{};
-    bool processed = false;
-  };
-  struct State {
-    std::vector<SavedRecord> records;
-    Counters stats;
-  };
-  State save_state() const;
-  void restore_state(State state);
-
- private:
+  /// One log entry: the alert as received, and its Processed mark.
   struct Record {
     Alert alert;
     TimePoint received_at{};
@@ -91,6 +74,18 @@ class AlertLog {
     bool processed = false;
   };
 
+  /// Checkpoint state (sim/snapshot.h). The log *is* the paper's
+  /// persistence story, so it is carried verbatim across a
+  /// crash-restart: records in arrival order plus the counter bag; the
+  /// id index is rebuilt on restore.
+  struct State {
+    std::vector<Record> records;
+    Counters stats;
+  };
+  State save_state() const { return State{records_, stats_}; }
+  void restore_state(State state);
+
+ private:
   Duration write_latency_;
   std::vector<Record> records_;  // arrival order
   /// alert id -> records_ slot. Lookup-only (rebuilt on truncation and

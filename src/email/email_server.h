@@ -88,22 +88,23 @@ class EmailServer {
 
   const Counters& stats() const { return stats_; }
 
+  /// Mail by mailbox address. Ordered, so checkpoint images list the
+  /// mailboxes by address; std::less<> lets string_view probes avoid a
+  /// key allocation.
+  using Mailboxes = std::map<std::string, std::vector<Email>, std::less<>>;
+
   /// Checkpoint state (sim/snapshot.h): mailbox contents are long-lived
   /// server state (unread fallback mail must survive a crash-restart so
   /// the user's next mailbox check still finds it), so they carry over
   /// together with the id counter and stats. Mail still in transit —
   /// submitted but not yet delivered — dies with the process image,
   /// like any in-flight message.
-  struct MailboxState {
-    std::string address;
-    std::vector<Email> mail;
-  };
   struct State {
-    std::vector<MailboxState> mailboxes;  // sorted by address (map order)
+    Mailboxes mailboxes;
     std::uint64_t next_id = 1;
     Counters stats;
   };
-  State save_state() const;
+  State save_state() const { return State{mailboxes_, next_id_, stats_}; }
   /// Call on a freshly constructed server, before any mailbox exists;
   /// later create_mailbox() calls keep restored contents (try_emplace).
   void restore_state(State state);
@@ -114,9 +115,7 @@ class EmailServer {
   sim::Simulator& sim_;
   Rng rng_;
   EmailDelayModel delay_;
-  // Stays ordered (save_state serialises mailboxes sorted); std::less<>
-  // lets string_view probes avoid a key allocation.
-  std::map<std::string, std::vector<Email>, std::less<>> mailboxes_;
+  Mailboxes mailboxes_;
   std::map<std::string, std::function<void(const Email&)>, std::less<>>
       domain_handlers_;
   sim::OutagePlan outages_;

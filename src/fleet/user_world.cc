@@ -142,15 +142,11 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     bus.restore_stats(options.resume->bus_stats);
   }
   if (options.trace) {
-    trace = std::make_unique<util::Trace>();
-    if (options.resume != nullptr) {
-      // Replay the pre-checkpoint span history so the full-run trace
-      // is one contiguous, byte-identical stream.
-      for (const CarriedSpan& span : options.resume->trace) {
-        trace->emit_owned(span.alert_id, span.component, span.stage,
-                          span.start, span.end, span.detail);
-      }
-    }
+    // Continue the pre-checkpoint span history so the full-run trace
+    // is one contiguous, byte-identical stream.
+    trace = options.resume != nullptr && options.resume->trace
+                ? std::move(options.resume->trace)
+                : std::make_unique<util::Trace>();
     bus.set_trace(trace.get());
   }
   apply_channel_models(bus, email_server, sms_gateway, options.fidelity);
@@ -303,7 +299,7 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
   }
 }
 
-WorldState save_world_state(const UserWorld& world) {
+WorldState save_world_state(UserWorld& world) {
   WorldState state;
   state.now = world.sim.now();
   state.events_processed = world.sim.events_processed();
@@ -312,14 +308,7 @@ WorldState save_world_state(const UserWorld& world) {
   state.user = world.user->save_state();
   state.email = world.email_server.save_state();
   state.bus_stats = world.bus.stats();
-  if (world.trace) {
-    state.trace.reserve(world.trace->size());
-    for (const util::Span& span : world.trace->spans()) {
-      state.trace.push_back(CarriedSpan{span.alert_id, span.component,
-                                        span.stage, span.start, span.end,
-                                        span.detail});
-    }
-  }
+  state.trace = std::move(world.trace);
   return state;
 }
 

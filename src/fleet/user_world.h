@@ -79,11 +79,12 @@ struct UserWorldOptions {
   /// Crash-restart state (fleet/world_state.h) to rebuild this world
   /// around, or null for a cold start. With resume set, construction
   /// re-aligns the kernel clock, restores every persistent component
-  /// before its start(), replays the carried trace, and skips fault /
-  /// chaos triggers that already fired before the checkpoint (their
-  /// sim.at() times would otherwise clamp to the restored clock and
-  /// re-fire at epoch start). Must outlive the constructor call only.
-  const WorldState* resume = nullptr;
+  /// before its start(), takes over the carried trace (leaving
+  /// resume->trace null), and skips fault / chaos triggers that already
+  /// fired before the checkpoint (their sim.at() times would otherwise
+  /// clamp to the restored clock and re-fire at epoch start). Must
+  /// outlive the constructor call only.
+  WorldState* resume = nullptr;
   /// When set, the world's conservation observers feed this external
   /// checker instead of building an own one, letting a multi-epoch
   /// driver track alert conservation across world rebuilds. Overrides

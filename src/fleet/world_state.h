@@ -18,31 +18,18 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <memory>
 
 #include "core/mab_host.h"
 #include "core/user_endpoint.h"
 #include "email/email_server.h"
 #include "util/stats.h"
 #include "util/time.h"
+#include "util/trace.h"
 
 namespace simba::fleet {
 
 struct UserWorld;
-
-/// One trace span carried across an epoch boundary. Spans inside a
-/// live util::Trace point at interned label storage; across a rebuild
-/// the labels travel as plain strings and are re-interned on replay
-/// (Trace::emit_owned).
-struct CarriedSpan {
-  std::string alert_id;
-  std::string component;
-  std::string stage;
-  TimePoint start{};
-  TimePoint end{};
-  std::string detail;
-};
 
 struct WorldState {
   // --- Kernel clock ----------------------------------------------------------
@@ -57,14 +44,15 @@ struct WorldState {
   Counters bus_stats;
 
   // --- Accumulated trace -----------------------------------------------------
-  /// Every span emitted before the boundary, in emission order (empty
-  /// when the world ran untraced).
-  std::vector<CarriedSpan> trace;
+  /// Every span emitted before the boundary, in emission order; null
+  /// when the world ran untraced. Owned here between two worlds: the
+  /// next epoch's world takes it over.
+  std::unique_ptr<util::Trace> trace;
 };
 
 /// Captures the persistent state of a world at its current virtual
-/// instant. Call at an epoch boundary, after the workload's drain,
-/// while the world is still alive.
-WorldState save_world_state(const UserWorld& world);
+/// instant and takes over its trace. Call at an epoch boundary, after
+/// the workload's drain; the world is then only fit for teardown.
+WorldState save_world_state(UserWorld& world);
 
 }  // namespace simba::fleet
