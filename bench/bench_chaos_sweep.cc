@@ -11,6 +11,7 @@
 // is bit-identical for any --threads value.
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common.h"
 #include "fleet/chaos_workload.h"
@@ -47,14 +48,14 @@ int main(int argc, char** argv) {
       fleet_options.shards = static_cast<std::size_t>(users);
       fleet_options.threads = threads;
       fleet_options.base_seed = options.seed + static_cast<std::uint64_t>(s);
-      const fleet::FleetReport report = fleet::run_fleet(
+      fleet::FleetReport report = fleet::run_fleet(
           fleet_options, [&workload](const fleet::ShardTask& task) {
             return fleet::run_chaos_shard(task, workload);
           });
       for (const auto& [name, value] : report.counters.all()) {
         merged.bump(name, value);
       }
-      merged_trace.merge(report.trace);
+      merged_trace.merge(std::move(report.trace));
       wall += report.wall_seconds;
       events += report.events_processed;
     }

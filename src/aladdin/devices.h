@@ -22,7 +22,6 @@ class Sensor {
 
   const std::string& id() const { return id_; }
   bool on() const { return on_; }
-  bool battery_dead() const { return battery_dead_; }
 
   /// Flips the sensed state and transmits "ON"/"OFF" (unless dead).
   void set_state(bool on);

@@ -177,7 +177,7 @@ void ImManager::send_im(const std::string& to_user, const std::string& body,
           done(Status::failure(std::string("send failed twice: ") + e2.what()));
         }
       }
-    });
+    }, "im.send_retry");
   }
 }
 

@@ -48,8 +48,6 @@ class ImManager : public CommunicationManager {
   void set_on_new_message(std::function<void()> handler);
 
  private:
-  void login_after_restart(std::function<void(Status)> done);
-
   im::ImClientApp& client_;
   bool auto_restart_ = true;
 };

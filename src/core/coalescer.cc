@@ -112,10 +112,7 @@ AlertCoalescer::State AlertCoalescer::save_state() const {
     w.category = category;
     w.count = window.count;
     w.representative_ids = window.representative_ids;
-    w.folded_ids.reserve(window.folded_ids.size());
-    for (const std::string& id : window.folded_ids.sorted_items()) {
-      w.folded_ids.push_back(id);
-    }
+    w.folded_ids = window.folded_ids.sorted_items();
     w.opened_at = window.opened_at;
     w.deadline = window.deadline;
     state.windows.push_back(std::move(w));

@@ -41,7 +41,6 @@ class DeliveryMode {
   explicit DeliveryMode(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   DeliveryBlock& add_block(Duration timeout = seconds(30));
   const std::vector<DeliveryBlock>& blocks() const { return blocks_; }

@@ -89,7 +89,7 @@ void MabHost::spawn_mab() {
     if (options_.watchdog_enabled) mdc_->notify_terminated(reason, expected);
     sim_.after(Duration::zero(), [this] {
       if (mab_ && mab_->terminated()) retire_mab();
-    });
+    }, "host.retire_mab");
   });
   if (alert_observer_) mab_->set_alert_observer(alert_observer_);
   if (shed_observer_) mab_->set_shed_observer(shed_observer_);

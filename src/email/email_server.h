@@ -57,7 +57,6 @@ class EmailServer {
   explicit EmailServer(sim::Simulator& sim);
 
   void set_delay_model(EmailDelayModel model) { delay_ = model; }
-  const EmailDelayModel& delay_model() const { return delay_; }
 
   void create_mailbox(const std::string& address);
   bool has_mailbox(const std::string& address) const;

@@ -3,7 +3,6 @@
 #include <concepts>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -13,7 +12,6 @@
 
 #include "core/alert.h"
 #include "sim/snapshot.h"
-#include "util/interner.h"
 #include "util/trace.h"
 
 namespace simba::fleet {
@@ -116,7 +114,7 @@ void fields(IO& io, T& s) {
 }
 
 /// Labels are const char* in a live trace; they travel as strings and
-/// decode re-interns them (Trace::emit_owned).
+/// decode maps them to static storage (Trace::label).
 template <class IO, Persisted<util::Span> T>
 void fields(IO& io, T& s) {
   io(s.alert_id, s.component, s.stage, s.start, s.end, s.detail);
@@ -196,14 +194,7 @@ class Out {
   void put(const char* label) { w_.str(label); }
   void put(TimePoint v) { w_.time_point(v); }
   void put(const Counters& v) { sim::put_counters(w_, v); }
-  // An untraced world's null trace is written as an empty one.
-  void put(const std::unique_ptr<util::Trace>& v) {
-    if (v) {
-      put(v->spans());
-    } else {
-      w_.u64(0);
-    }
-  }
+  void put(const util::Trace& v) { put(v.spans()); }
 
   template <class T>
   void put(const std::vector<T>& v) {
@@ -265,19 +256,16 @@ class In {
   void get(std::uint32_t& v) { v = r_.u32(); }
   void get(std::uint64_t& v) { v = r_.u64(); }
   void get(std::string& v) { v = r_.str(); }
-  // A span label, held in decode-owned storage until emit_owned copies
-  // it into the trace.
-  void get(const char*& label) { label = labels_.intern(r_.str()); }
+  void get(const char*& label) { label = util::Trace::label(r_.str()); }
   void get(TimePoint& v) { v = r_.time_point(); }
   void get(Counters& v) { v = sim::get_counters(r_); }
 
-  void get(std::unique_ptr<util::Trace>& v) {
+  void get(util::Trace& v) {
     std::vector<util::Span> spans;
     get(spans);
-    v = std::make_unique<util::Trace>();
     for (util::Span& s : spans) {
-      v->emit_owned(std::move(s.alert_id), s.component, s.stage, s.start,
-                    s.end, std::move(s.detail));
+      v.emit(std::move(s.alert_id), s.component, s.stage, s.start, s.end,
+             std::move(s.detail));
     }
   }
 
@@ -307,7 +295,6 @@ class In {
   }
 
   sim::SnapshotReader& r_;
-  util::StringInterner labels_;
 };
 
 /// The run shape a checkpoint is only replayable under: the kind and

@@ -170,7 +170,7 @@ void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
         mail.to = world.host->email_address();
         mail.subject = "portal alert " + std::to_string(number);
         world.email_server.submit(std::move(mail));
-      });
+      }, "fleet.mail_arrival");
       continue;
     }
     char shard_buf[20];
@@ -209,7 +209,7 @@ void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
               d.checker.on_failed(id_str, outcome.completed_at);
             }
           });
-    });
+    }, "fleet.alert_arrival");
   }
 }
 
@@ -275,7 +275,7 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
     const sim::InvariantChecker::Report report = d.checker.check(&logged_now);
     report.export_to(result.counters);
     if (!report.ok()) {
-      result.violation_details = report.describe(world.trace.get());
+      result.violation_details = report.describe(&world.trace);
     }
   }
 
@@ -294,7 +294,6 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
     ++delivered;
     const double latency = to_seconds(*seen - submitted);
     result.delivery_latency.add(latency);
-    result.delivery_histogram.add(latency);
     if (critical_ids.count(id) > 0) {
       ++critical_delivered;
       result.critical_latency.add(latency);
@@ -352,7 +351,7 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
   }
 
   result.events_processed = world.sim.events_processed();
-  if (world.trace) result.trace = std::move(*world.trace);
+  result.trace = std::move(world.trace);
   return result;
 }
 

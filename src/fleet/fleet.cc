@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "util/rng.h"
 #include "util/strings.h"
@@ -24,15 +25,14 @@ std::vector<double> delivery_latency_boundaries() {
   return {0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0, 7200.0, 86400.0};
 }
 
-void FleetReport::merge_shard(const ShardResult& shard) {
+void FleetReport::merge_shard(ShardResult& shard) {
   counters.merge(shard.counters);
   delivery_latency.merge(shard.delivery_latency);
   ack_latency.merge(shard.ack_latency);
   critical_latency.merge(shard.critical_latency);
-  delivery_histogram.merge(shard.delivery_histogram);
   events_processed += shard.events_processed;
   shard_wall_seconds.add(shard.wall_seconds);
-  trace.merge(shard.trace);
+  trace.merge(std::move(shard.trace));
 }
 
 namespace {
@@ -67,6 +67,13 @@ std::string json_counters(const Counters& counters) {
   return out;
 }
 
+/// The delivery-latency histogram, bucketed from the samples.
+Histogram latency_histogram(const Summary& latency) {
+  Histogram histogram(delivery_latency_boundaries());
+  for (const double x : latency.samples()) histogram.add(x);
+  return histogram;
+}
+
 std::string json_histogram(const Histogram& histogram) {
   std::string out = "[";
   for (std::size_t i = 0; i < histogram.buckets().size(); ++i) {
@@ -87,7 +94,8 @@ std::string FleetReport::correctness_json() const {
   out += ",\"delivery_latency\":" + json_summary(delivery_latency);
   out += ",\"ack_latency\":" + json_summary(ack_latency);
   out += ",\"critical_latency\":" + json_summary(critical_latency);
-  out += ",\"delivery_histogram\":" + json_histogram(delivery_histogram);
+  out += ",\"delivery_histogram\":" +
+         json_histogram(latency_histogram(delivery_latency));
   out += ",\"events_processed\":" + std::to_string(events_processed);
   out += ",\"per_shard\":[";
   for (std::size_t i = 0; i < per_shard.size(); ++i) {
@@ -124,8 +132,9 @@ std::string FleetReport::render() const {
     out += "  critical latency   " + critical_latency.report("%.2f") + "\n";
   }
   out += "  counters:\n" + counters.report();
-  if (delivery_histogram.count() > 0) {
-    out += "  delivery latency histogram:\n" + delivery_histogram.render();
+  if (!delivery_latency.empty()) {
+    out += "  delivery latency histogram:\n" +
+           latency_histogram(delivery_latency).render();
   }
   return out;
 }
@@ -199,7 +208,7 @@ FleetReport run_fleet(const FleetOptions& options, const ShardBody& body) {
   report.shards = n;
   report.threads = std::max(1, options.threads);
   report.base_seed = options.base_seed;
-  for (const ShardResult& result : results) report.merge_shard(result);
+  for (ShardResult& result : results) report.merge_shard(result);
   report.per_shard = std::move(results);
   report.wall_seconds = fleet_timer.seconds();
   return report;

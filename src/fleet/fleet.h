@@ -29,9 +29,9 @@ namespace simba::fleet {
 /// the mapping stays stable across runs, platforms, and thread counts.
 std::uint64_t shard_seed(std::uint64_t base_seed, std::size_t shard_id);
 
-/// Bucket boundaries every fleet delivery-latency histogram uses, so
-/// per-shard histograms are always merge-compatible. Spans the IM
-/// fast path (~1 s) through the email tail (hours).
+/// Bucket boundaries of the fleet delivery-latency histogram, which
+/// the report derives from its latency samples. Spans the IM fast path
+/// (~1 s) through the email tail (hours).
 std::vector<double> delivery_latency_boundaries();
 
 /// Work order handed to a shard body: which shard, and its seed.
@@ -52,11 +52,11 @@ struct ShardResult {
   /// Critical (high-importance) alerts only — the latency the overload
   /// defenses exist to protect under storm load (experiment E12).
   Summary critical_latency;
-  Histogram delivery_histogram{delivery_latency_boundaries()};
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
   /// Lifecycle trace (empty when the workload ran untraced). Virtual
-  /// timestamps only, so it participates in determinism checks.
+  /// timestamps only, so it participates in determinism checks. Empty
+  /// once run_fleet has moved it into the merged FleetReport::trace.
   util::Trace trace;
   /// Human-readable invariant-violation report, including each
   /// violating alert's full trace (empty when the contract held).
@@ -74,18 +74,18 @@ struct FleetReport {
   Summary delivery_latency;
   Summary ack_latency;
   Summary critical_latency;
-  Histogram delivery_histogram{delivery_latency_boundaries()};
   std::uint64_t events_processed = 0;
   Summary shard_wall_seconds;  // timing-only, excluded from correctness
   double wall_seconds = 0.0;   // whole-fleet wall clock
-  /// Shard traces folded in shard order — bit-identical for any thread
-  /// count, like every other merged statistic here.
+  /// Every shard's spans, moved here in shard order — bit-identical
+  /// for any thread count, like every other merged statistic here.
   util::Trace trace;
   std::vector<ShardResult> per_shard;
 
-  /// Folds one shard in. Callers must fold in shard order to keep the
-  /// merged floating-point statistics scheduling-independent.
-  void merge_shard(const ShardResult& shard);
+  /// Folds one shard in and takes its trace, leaving shard.trace empty.
+  /// Callers must fold in shard order to keep the merged floating-point
+  /// statistics scheduling-independent.
+  void merge_shard(ShardResult& shard);
 
   /// Deterministic snapshot of every correctness-relevant number —
   /// counters, latency statistics, histogram buckets, per-shard seeds

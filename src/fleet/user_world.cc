@@ -144,10 +144,8 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
   if (options.trace) {
     // Continue the pre-checkpoint span history so the full-run trace
     // is one contiguous, byte-identical stream.
-    trace = options.resume != nullptr && options.resume->trace
-                ? std::move(options.resume->trace)
-                : std::make_unique<util::Trace>();
-    bus.set_trace(trace.get());
+    if (options.resume != nullptr) trace = std::move(options.resume->trace);
+    bus.set_trace(&trace);
   }
   apply_channel_models(bus, email_server, sms_gateway, options.fidelity);
   sms_gateway.attach_to(email_server);
@@ -216,7 +214,7 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
 
   core::MabHostOptions host_options;
   host_options.owner = options.user;
-  host_options.trace = trace.get();
+  host_options.trace = options.trace ? &trace : nullptr;
   host_options.config = fleet_config(options.user, user->sms_address(),
                                      user->email_account(),
                                      options.storm_config);
@@ -238,11 +236,10 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     // built (the host schedules its power events in its constructor).
     // On resume, outages that ended before the checkpoint are dropped
     // like every other finished fault window.
-    for (const sim::Outage& outage : chaos_plan->host().power_plan.outages()) {
-      if (options.resume != nullptr && outage.end <= options.resume->now) {
-        continue;
-      }
-      host_options.power_plan.add(outage.start, outage.length());
+    host_options.power_plan = chaos_plan->host().power_plan;
+    if (options.resume != nullptr) {
+      host_options.power_plan =
+          drop_finished(host_options.power_plan, options.resume->now);
     }
     host_options.torn_append_probability =
         chaos_plan->log().torn_append_probability;

@@ -60,7 +60,7 @@ struct UserWorldOptions {
   /// sighting feed into it. The fleet driver passes its own checker
   /// through shared_invariants instead.
   bool track_invariants = false;
-  /// Builds a util::Trace and arms lifecycle tracing in the bus, the
+  /// Arms lifecycle tracing into UserWorld::trace in the bus, the
   /// alert log, and every MAB incarnation. Off by default: the portal
   /// scale bench opts in, chaos and storm runs trace always.
   bool trace = false;
@@ -80,7 +80,7 @@ struct UserWorldOptions {
   /// around, or null for a cold start. With resume set, construction
   /// re-aligns the kernel clock, restores every persistent component
   /// before its start(), takes over the carried trace (leaving
-  /// resume->trace null), and skips fault / chaos triggers that already
+  /// resume->trace empty), and skips fault / chaos triggers that already
   /// fired before the checkpoint (their sim.at() times would otherwise
   /// clamp to the restored clock and re-fire at epoch start). Must
   /// outlive the constructor call only.
@@ -96,9 +96,9 @@ struct UserWorld {
   UserWorld(std::uint64_t seed, const UserWorldOptions& options);
 
   sim::Simulator sim;
-  /// Lifecycle trace; null unless options.trace. Declared before the
-  /// components that emit into it so it outlives them all.
-  std::unique_ptr<util::Trace> trace;
+  /// Lifecycle trace; stays empty unless options.trace. Declared
+  /// before the components that emit into it so it outlives them all.
+  util::Trace trace;
   /// Per-shard scratch arena (DESIGN.md §13) for per-alert id strings
   /// the workloads build by the thousand. Views stay valid for the
   /// shard's epoch; the workload resets the arena only at the epoch

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/mab_host.h"
 #include "core/user_endpoint.h"
@@ -44,10 +43,10 @@ struct WorldState {
   Counters bus_stats;
 
   // --- Accumulated trace -----------------------------------------------------
-  /// Every span emitted before the boundary, in emission order; null
-  /// when the world ran untraced. Owned here between two worlds: the
+  /// Every span emitted before the boundary, in emission order; empty
+  /// when the world ran untraced. Held here between two worlds: the
   /// next epoch's world takes it over.
-  std::unique_ptr<util::Trace> trace;
+  util::Trace trace;
 };
 
 /// Captures the persistent state of a world at its current virtual

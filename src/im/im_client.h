@@ -48,7 +48,6 @@ class ImClientApp : public gui::ClientApp {
   ~ImClientApp() override;
 
   const std::string& user() const { return user_; }
-  const std::string& bus_address() const { return bus_address_; }
 
   // --- Automation interface (may throw AutomationError) -------------------
 

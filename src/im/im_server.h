@@ -58,7 +58,6 @@ class ImServer {
   /// recovery" logouts).
   void set_outage_plan(sim::OutagePlan plan);
   bool down() const;
-  const sim::OutagePlan& outage_plan() const { return outages_; }
 
   /// Drops one user's session and notifies the client — the "you have
   /// been signed out" events that sanity checking re-logins fix.

@@ -10,10 +10,6 @@ void InvariantChecker::on_submitted(const std::string& id, TimePoint at) {
   t.submitted_at = at;
 }
 
-void InvariantChecker::on_logged(const std::string& id, TimePoint) {
-  track(id).logged = true;
-}
-
 void InvariantChecker::on_acked(const std::string& id, int block, bool logged,
                                 TimePoint) {
   Track& t = track(id);

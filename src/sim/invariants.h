@@ -50,8 +50,6 @@ class InvariantChecker {
 
   /// A source handed the alert to the delivery pipeline.
   void on_submitted(const std::string& id, TimePoint at);
-  /// The pessimistic log persisted the alert.
-  void on_logged(const std::string& id, TimePoint at);
   /// The source received an acknowledgement. `block` is the delivery
   /// block that succeeded (0 = primary IM leg); `logged` is whether the
   /// persistent log held the alert at that instant.

@@ -483,197 +483,49 @@ class FlatMap {
   [[no_unique_address]] Eq eq_;
 };
 
-/// FlatSet: the same table with key-only slots. Iteration is dense
-/// insertion order (erase swap-removes); sorted_items() yields the
-/// keys in sorted order for report/snapshot sites.
+/// FlatSet: a FlatMap with an empty mapped type, so the set shares the
+/// map's table, small-set mode and determinism contract.
 template <typename Key, typename Hash = typename FlatHashFor<Key>::Hash,
           typename Eq = typename FlatHashFor<Key>::Eq>
 class FlatSet {
  public:
-  using key_type = Key;
-  using value_type = Key;
-  using const_iterator = const Key*;
-  using iterator = const_iterator;
+  std::size_t size() const { return map_.size(); }
+  bool empty() const { return map_.empty(); }
+  void clear() { map_.clear(); }
+  std::size_t bucket_count() const { return map_.bucket_count(); }
 
-  FlatSet() = default;
-
-  std::size_t size() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
-  void clear() {
-    slots_.clear();
-    tombstones_ = 0;
-    std::fill(buckets_.begin(), buckets_.end(), kEmpty);
-  }
-  std::size_t bucket_count() const { return buckets_.size(); }
-
-  const_iterator begin() const { return slots_.data(); }
-  const_iterator end() const { return slots_.data() + slots_.size(); }
-
-  template <typename K>
-  const_iterator find(const K& key) const {
-    const std::size_t s = find_slot(key);
-    return s == kNpos ? end() : begin() + s;
-  }
   template <typename K>
   bool contains(const K& key) const {
-    return find_slot(key) != kNpos;
+    return map_.contains(key);
   }
   template <typename K>
   std::size_t count(const K& key) const {
-    return contains(key) ? 1 : 0;
+    return map_.count(key);
   }
 
   template <typename K>
-  std::pair<const_iterator, bool> insert(K&& key) {
-    if (buckets_.empty()) {
-      const std::size_t s = find_slot(key);
-      if (s != kNpos) return {begin() + s, false};
-      if (slots_.size() < kSmallCap) {
-        if (slots_.capacity() == 0) slots_.reserve(kSmallCap);
-        slots_.emplace_back(Key(std::forward<K>(key)));
-        return {begin() + (slots_.size() - 1), true};
-      }
-      // Fall through: graduate to a bucket array.
-    }
-    if (buckets_.empty() ||
-        (slots_.size() + tombstones_ + 1) * 8 >= buckets_.size() * 7) {
-      rehash();
-    }
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t b = hash_(key) & mask;
-    std::size_t target = kNpos;
-    bool was_tombstone = false;
-    while (true) {
-      const std::uint32_t s = buckets_[b];
-      if (s == kEmpty) break;
-      if (s == kTombstone) {
-        if (target == kNpos) {
-          target = b;
-          was_tombstone = true;
-        }
-      } else if (eq_(slots_[s], key)) {
-        return {begin() + s, false};
-      }
-      b = (b + 1) & mask;
-    }
-    if (target == kNpos) target = b;
-    slots_.emplace_back(Key(std::forward<K>(key)));
-    if (was_tombstone) --tombstones_;
-    buckets_[target] = static_cast<std::uint32_t>(slots_.size() - 1);
-    return {begin() + (slots_.size() - 1), true};
-  }
-  template <typename K>
-  std::pair<const_iterator, bool> emplace(K&& key) {
-    return insert(std::forward<K>(key));
+  std::pair<const Key*, bool> insert(K&& key) {
+    const auto [it, fresh] = map_.try_emplace(std::forward<K>(key));
+    return {&it->first, fresh};
   }
 
   template <typename K>
   std::size_t erase(const K& key) {
-    if (buckets_.empty()) {
-      const std::size_t s = find_slot(key);
-      if (s == kNpos) return 0;
-      const std::size_t last = slots_.size() - 1;
-      if (s != last) slots_[s] = std::move(slots_[last]);
-      slots_.pop_back();
-      return 1;
-    }
-    const std::size_t b = find_bucket(key);
-    if (b == kNpos) return 0;
-    const std::uint32_t slot = buckets_[b];
-    buckets_[b] = kTombstone;
-    ++tombstones_;
-    const std::uint32_t last = static_cast<std::uint32_t>(slots_.size() - 1);
-    if (slot != last) {
-      const std::size_t lb = find_bucket(slots_[last]);
-      slots_[slot] = std::move(slots_[last]);
-      buckets_[lb] = slot;
-    }
-    slots_.pop_back();
-    return 1;
+    return map_.erase(key);
   }
 
-  /// Key-sorted view, mirroring FlatMap::sorted_items().
-  class SortedView {
-   public:
-    explicit SortedView(const FlatSet& set) {
-      items_.reserve(set.size());
-      for (const Key& k : set) items_.push_back(&k);
-      std::sort(items_.begin(), items_.end(),
-                [](const Key* a, const Key* b) { return *a < *b; });
-    }
-    class iterator {
-     public:
-      explicit iterator(const Key* const* p) : p_(p) {}
-      const Key& operator*() const { return **p_; }
-      const Key* operator->() const { return *p_; }
-      iterator& operator++() {
-        ++p_;
-        return *this;
-      }
-      bool operator==(const iterator& o) const { return p_ == o.p_; }
-      bool operator!=(const iterator& o) const { return p_ != o.p_; }
-
-     private:
-      const Key* const* p_;
-    };
-    iterator begin() const { return iterator(items_.data()); }
-    iterator end() const { return iterator(items_.data() + items_.size()); }
-    std::size_t size() const { return items_.size(); }
-
-   private:
-    std::vector<const Key*> items_;
-  };
-  SortedView sorted_items() const { return SortedView(*this); }
+  /// The keys in sorted order, for report and snapshot sites.
+  std::vector<Key> sorted_items() const {
+    std::vector<Key> keys;
+    keys.reserve(map_.size());
+    for (const auto& slot : map_) keys.push_back(slot.first);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kTombstone = 0xFFFFFFFEu;
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kSmallCap = 8;  // same rationale as FlatMap
-
-  template <typename K>
-  std::size_t find_bucket(const K& key) const {
-    if (buckets_.empty()) return kNpos;
-    const std::size_t mask = buckets_.size() - 1;
-    std::size_t b = hash_(key) & mask;
-    while (true) {
-      const std::uint32_t s = buckets_[b];
-      if (s == kEmpty) return kNpos;
-      if (s != kTombstone && eq_(slots_[s], key)) return b;
-      b = (b + 1) & mask;
-    }
-  }
-
-  template <typename K>
-  std::size_t find_slot(const K& key) const {
-    if (buckets_.empty()) {
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (eq_(slots_[i], key)) return i;
-      }
-      return kNpos;
-    }
-    const std::size_t b = find_bucket(key);
-    return b == kNpos ? kNpos : buckets_[b];
-  }
-
-  void rehash() {
-    std::size_t want = buckets_.empty() ? 16 : buckets_.size();
-    while ((slots_.size() + 1) * 8 >= want * 7) want *= 2;
-    buckets_.assign(want, kEmpty);
-    tombstones_ = 0;
-    const std::size_t mask = want - 1;
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      std::size_t b = hash_(slots_[i]) & mask;
-      while (buckets_[b] != kEmpty) b = (b + 1) & mask;
-      buckets_[b] = i;
-    }
-  }
-
-  std::vector<std::uint32_t> buckets_;
-  std::vector<Key> slots_;
-  std::size_t tombstones_ = 0;
-  [[no_unique_address]] Hash hash_;
-  [[no_unique_address]] Eq eq_;
+  struct Unit {};
+  FlatMap<Key, Unit, Hash, Eq> map_;
 };
 
 }  // namespace simba::util

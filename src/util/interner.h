@@ -6,9 +6,13 @@
 // runtime — e.g. net::MessageBus's per-message-type delivery label —
 // intern it once and reuse the stable pointer forever after.
 //
-// A StringInterner is deliberately per-instance, not global: every
-// fleet shard owns its own component graph (bus, MAB, endpoints), so
-// per-component interners need no locking and TSan stays quiet.
+// A StringInterner is deliberately per-instance: every fleet shard
+// owns its own component graph (bus, MAB, endpoints), so
+// per-component interners need no locking and TSan stays quiet. The
+// one process-wide table is Trace::label's (util/trace.cc), behind a
+// util::Mutex. It is global because span labels read from a checkpoint
+// image must outlive every trace the span is moved or copied into, as
+// string literals do, so no trace or decoder may own them.
 #pragma once
 
 #include <deque>

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -126,13 +125,6 @@ void Histogram::add(double x) {
       std::upper_bound(boundaries_.begin(), boundaries_.end(), x);
   counts_[static_cast<std::size_t>(it - boundaries_.begin())]++;
   ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  assert(compatible_with(other));
-  if (!compatible_with(other)) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
 }
 
 std::string Histogram::render(const char* unit) const {

@@ -96,14 +96,6 @@ class Histogram {
   std::size_t count() const { return total_; }
   const std::vector<std::size_t>& buckets() const { return counts_; }
   const std::vector<double>& boundaries() const { return boundaries_; }
-  /// True when both histograms share identical bucket boundaries.
-  bool compatible_with(const Histogram& other) const {
-    return boundaries_ == other.boundaries_;
-  }
-  /// Adds `other`'s bucket counts into this histogram. Requires
-  /// compatible boundaries (asserted); an incompatible merge is a
-  /// no-op in release builds.
-  void merge(const Histogram& other);
   /// Multi-line ASCII rendering with bars, for bench output.
   std::string render(const char* unit = "s") const;
 

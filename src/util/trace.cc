@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
+#include "util/interner.h"
+#include "util/mutex.h"
 #include "util/strings.h"
 
 namespace simba::util {
@@ -40,6 +43,12 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
+/// The one process-wide label table behind Trace::label.
+struct LabelTable {
+  Mutex mu;
+  StringInterner labels SIMBA_GUARDED_BY(mu);
+};
+
 bool canonical_less(const Span& a, const Span& b) {
   if (a.start != b.start) return a.start < b.start;
   if (int c = a.alert_id.compare(b.alert_id); c != 0) return c < 0;
@@ -63,21 +72,21 @@ void Trace::emit(std::string alert_id, const char* component,
                         std::move(detail)});
 }
 
-void Trace::emit_owned(std::string alert_id, std::string_view component,
-                       std::string_view stage, TimePoint start, TimePoint end,
-                       std::string detail) {
-  spans_.push_back(Span{std::move(alert_id), owned_labels_.intern(component),
-                        owned_labels_.intern(stage), start, end,
-                        std::move(detail)});
+const char* Trace::label(std::string_view text) {
+  // Process-wide, so any thread that decodes an image shares it.
+  static LabelTable table;
+  MutexLock lock(table.mu);
+  return table.labels.intern(text);
 }
 
-void Trace::merge(const Trace& other) {
-  spans_.reserve(spans_.size() + other.spans_.size());
-  for (const Span& span : other.spans_) {
-    spans_.push_back(Span{span.alert_id, owned_labels_.intern(span.component),
-                          owned_labels_.intern(span.stage), span.start,
-                          span.end, span.detail});
+void Trace::merge(Trace&& other) {
+  if (spans_.empty()) {
+    spans_ = std::move(other.spans_);
+  } else {
+    spans_.insert(spans_.end(), std::make_move_iterator(other.spans_.begin()),
+                  std::make_move_iterator(other.spans_.end()));
   }
+  other.spans_ = std::vector<Span>();
 }
 
 std::vector<Span> Trace::sorted_spans() const {
@@ -110,19 +119,6 @@ std::map<std::string, Summary> Trace::stage_latency() const {
   return stages;
 }
 
-// simba-lint: ordered
-std::map<std::string, Histogram> Trace::stage_histograms(
-    const std::vector<double>& boundaries) const {
-  // simba-lint: ordered
-  std::map<std::string, Histogram> stages;
-  for (const Span& s : spans_) {
-    const std::string key = std::string(s.component) + "." + s.stage;
-    auto [it, inserted] = stages.try_emplace(key, boundaries);
-    it->second.add(s.duration());
-  }
-  return stages;
-}
-
 std::string Trace::stage_report() const {
   std::string out;
   for (const auto& [stage, latency] : stage_latency()) {
@@ -131,18 +127,14 @@ std::string Trace::stage_report() const {
   return out;
 }
 
-std::vector<Span> Trace::spans_for(const std::string& alert_id) const {
+std::string Trace::describe(const std::string& alert_id) const {
   std::vector<Span> mine;
   for (const Span& s : spans_) {
     if (s.alert_id == alert_id) mine.push_back(s);
   }
   std::stable_sort(mine.begin(), mine.end(), canonical_less);
-  return mine;
-}
-
-std::string Trace::describe(const std::string& alert_id) const {
   std::string out;
-  for (const Span& s : spans_for(alert_id)) {
+  for (const Span& s : mine) {
     out += strformat("  [%s +%s] %s.%s", format_time(s.start).c_str(),
                      format_duration(s.duration()).c_str(), s.component,
                      s.stage);

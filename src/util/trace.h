@@ -10,9 +10,9 @@
 // delivery-engine block/action attempts with fallback and skip
 // reasons.
 //
-// Like Counters/Summary/Histogram, traces merge: fleet shards each
-// record their own Trace and run_fleet folds them together in shard
-// order, so the merged trace is independent of the thread count.
+// Like Counters/Summary, traces merge: fleet shards each record their
+// own Trace and run_fleet moves them together in shard order, so the
+// merged trace is independent of the thread count.
 // Export is canonical sorted JSONL (integer microsecond timestamps,
 // no floats) — the format the golden-trace tests byte-compare.
 #pragma once
@@ -20,18 +20,19 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "util/interner.h"
 #include "util/stats.h"
 #include "util/time.h"
 
 namespace simba::util {
 
-/// One lifecycle event. `component` and `stage` MUST be string
-/// literals (static storage duration): spans copy only the pointer,
-/// which keeps emission allocation-light and makes merged traces safe
-/// to outlive the emitting component. Instant events have start == end;
+/// One lifecycle event. `component` and `stage` MUST have static
+/// storage duration (string literals, or Trace::label for labels read
+/// at run time): spans copy only the pointer, which keeps emission
+/// allocation-light and makes any trace, or copy of one, safe to
+/// outlive the emitting component. Instant events have start == end;
 /// stages with real latency (log write, bus transit, delivery blocks)
 /// carry their duration as [start, end].
 struct Span {
@@ -54,25 +55,20 @@ class Trace {
   void emit(std::string alert_id, const char* component, const char* stage,
             TimePoint start, TimePoint end, std::string detail = {});
 
-  /// Emits a span whose component/stage labels are NOT string literals
-  /// (checkpoint decode, sim/snapshot.h): the labels are interned into
-  /// trace-owned storage first, preserving the static-lifetime contract
-  /// of Span for as long as this trace (or anything it is merged or
-  /// moved into) lives.
-  void emit_owned(std::string alert_id, std::string_view component,
-                  std::string_view stage, TimePoint start, TimePoint end,
-                  std::string detail = {});
+  /// A static-storage copy of a label read at run time (checkpoint
+  /// decode), for emit(). One process-wide table, so the label lives
+  /// as long as a string literal would.
+  static const char* label(std::string_view text);
 
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
   bool empty() const { return spans_.empty(); }
 
-  /// Appends `other`'s spans in order. Merging shard traces in shard
+  /// Moves `other`'s spans onto the end of this trace; `other` ends
+  /// empty with its storage released. Merging shard traces in shard
   /// order yields the same span sequence for any thread count, exactly
-  /// like Counters::merge / Summary::merge. Labels are re-interned into
-  /// this trace's own storage, so the merged trace stays valid after
-  /// `other` (which may own labels of checkpoint-restored spans) dies.
-  void merge(const Trace& other);
+  /// like Counters::merge / Summary::merge.
+  void merge(Trace&& other);
 
   /// Spans in canonical order: (start, alert_id, component, stage,
   /// end, detail), stable for full ties. Emission order within a shard
@@ -91,29 +87,17 @@ class Trace {
   // simba-lint: ordered (report-time; callers print stages sorted)
   std::map<std::string, Summary> stage_latency() const;
 
-  /// Per-stage latency histograms over span durations in seconds, all
-  /// sharing `boundaries`. Keyed like stage_latency().
-  // simba-lint: ordered
-  std::map<std::string, Histogram> stage_histograms(
-      const std::vector<double>& boundaries) const;
-
   /// Human-oriented per-stage latency table (one stage per line), for
   /// the bench report sections.
   std::string stage_report() const;
 
-  /// All spans for one alert, in canonical order.
-  std::vector<Span> spans_for(const std::string& alert_id) const;
-
-  /// Multi-line lifecycle listing for one alert, for invariant-failure
-  /// reports: "  [d+hh:mm:ss.mmm +dur] comp.stage detail".
+  /// Multi-line lifecycle listing of one alert's spans in canonical
+  /// order, for invariant-failure reports:
+  /// "  [d+hh:mm:ss.mmm +dur] comp.stage detail".
   std::string describe(const std::string& alert_id) const;
 
  private:
   std::vector<Span> spans_;
-  /// Storage for non-literal labels (emit_owned / merge). Set nodes are
-  /// address-stable, so moving the trace keeps span pointers valid;
-  /// copying a Trace is safe only while the source outlives the copy.
-  StringInterner owned_labels_;
 };
 
 }  // namespace simba::util

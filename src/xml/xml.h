@@ -42,7 +42,6 @@ class Element {
   // -- Text ---------------------------------------------------------------
   const std::string& text() const { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view text) { text_ += text; }
 
   // -- Children -----------------------------------------------------------
   Element& add_child(std::string name);

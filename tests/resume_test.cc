@@ -19,6 +19,7 @@
 #include "sim/snapshot.h"
 #include "test_world.h"
 #include "util/stats.h"
+#include "util/trace.h"
 
 namespace simba::fleet {
 namespace {
@@ -125,6 +126,28 @@ TEST(ResumeEquivalenceTest, ThreadedResumeMatchesSerial) {
   const Result<ResumableRun> c = resume_fleet(threaded, b.checkpoint);
   ASSERT_TRUE(c.ok()) << c.error();
   EXPECT_EQ(a.report.correctness_json(), c.value().report.correctness_json());
+}
+
+TEST(ResumeTest, CopyOfResumedTraceOutlivesTheRun) {
+  // Decoded span labels have static storage: a copy of a resumed trace
+  // stays readable after the run that decoded them is destroyed.
+  const ResumableOptions options = resume_options(ResumeKind::kChaos, 11);
+  ResumeControl cut;
+  cut.checkpoint_after_epoch = 1;
+  cut.stop_at_checkpoint = true;
+  const std::string image = run_resumable_fleet(options, cut).checkpoint;
+  ASSERT_FALSE(image.empty());
+
+  std::string jsonl;
+  util::Trace copy;
+  {
+    const Result<ResumableRun> run = resume_fleet(options, image);
+    ASSERT_TRUE(run.ok()) << run.error();
+    jsonl = run.value().report.trace.to_jsonl();
+    copy = run.value().report.trace;
+  }
+  ASSERT_FALSE(jsonl.empty());
+  EXPECT_EQ(copy.to_jsonl(), jsonl);
 }
 
 // --- Malformed / mismatched images -----------------------------------------

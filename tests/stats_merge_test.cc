@@ -1,6 +1,6 @@
 // Merge semantics for the stats types the fleet runner aggregates:
-// counter bags, fixed-boundary histograms, and sample summaries. The
-// fleet's determinism guarantee rests on these being order-stable.
+// counter bags and sample summaries. The fleet's determinism guarantee
+// rests on these being order-stable.
 #include <gtest/gtest.h>
 
 #include "util/stats.h"
@@ -66,56 +66,6 @@ TEST(CountersMergeTest, SelfMergeDoubles) {
   a.bump("x", 4);
   a.merge(a);
   EXPECT_EQ(a.get("x"), 8);
-}
-
-TEST(HistogramMergeTest, BucketsAndTotalsSum) {
-  const std::vector<double> bounds{1.0, 2.0, 4.0};
-  Histogram a(bounds), b(bounds);
-  a.add(0.5);  // bucket 0
-  a.add(1.5);  // bucket 1
-  b.add(1.6);  // bucket 1
-  b.add(9.0);  // overflow bucket
-  ASSERT_TRUE(a.compatible_with(b));
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.buckets(), (std::vector<std::size_t>{1, 2, 0, 1}));
-}
-
-TEST(HistogramMergeTest, EmptyIntoNonEmptyIsIdentity) {
-  const std::vector<double> bounds{1.0, 2.0};
-  Histogram full(bounds), empty(bounds);
-  full.add(0.2);
-  full.add(5.0);
-  const auto before = full.buckets();
-  full.merge(empty);
-  EXPECT_EQ(full.buckets(), before);
-  empty.merge(full);
-  EXPECT_EQ(empty.buckets(), before);
-}
-
-TEST(HistogramMergeTest, ThreeWayMergeIsAssociative) {
-  const std::vector<double> bounds{1.0, 3.0};
-  auto make = [&](double x) {
-    Histogram h(bounds);
-    h.add(x);
-    return h;
-  };
-  Histogram left = make(0.5);
-  left.merge(make(2.0));
-  left.merge(make(7.0));
-  Histogram right = make(0.5);
-  Histogram bc = make(2.0);
-  bc.merge(make(7.0));
-  right.merge(bc);
-  EXPECT_EQ(left.buckets(), right.buckets());
-  EXPECT_EQ(left.count(), right.count());
-}
-
-TEST(HistogramMergeTest, IncompatibleBoundariesDetected) {
-  Histogram a(std::vector<double>{1.0, 2.0});
-  Histogram b(std::vector<double>{1.0, 2.5});
-  EXPECT_FALSE(a.compatible_with(b));
-  EXPECT_TRUE(a.compatible_with(a));
 }
 
 TEST(SummaryMergeTest, MergedMatchesConcatenatedSamples) {

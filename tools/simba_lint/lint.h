@@ -49,6 +49,10 @@
 //                 when the level is disabled — use SIMBA_LOG_DEBUG /
 //                 SIMBA_LOG_TRACE (util/log.h), which evaluate the
 //                 message expression only when it will be written.
+//   [label]       every event scheduled on the simulator is labeled:
+//                 a src/ sim.at/after/every (or sim_.) call with fewer
+//                 than three arguments is an error, so per-label event
+//                 counts can attribute every event.
 //   [counters]    every Counters::bump("...") / ::get("...") literal
 //                 must resolve to an entry in the checked-in registry
 //                 src/util/counter_registry.def (name, owning
@@ -74,6 +78,7 @@
 //   [flatmap]     core/ net/ util/ fleet/ —                     —
 //   [trace]       yes                 —                        —
 //   [alloc]       yes                 —                        —
+//   [label]       yes                 —                        —
 //   [counters]    yes                 yes                      yes
 //   [waiver]      yes                 yes                      yes
 //
@@ -100,7 +105,7 @@ struct Diagnostic {
   std::string file;  // path relative to the lint root, '/' separators
   int line = 0;      // 1-based
   std::string rule;  // "layer", "include", "determinism", "sync",
-                     // "bounded", "flatmap", "trace", "alloc",
+                     // "bounded", "flatmap", "trace", "alloc", "label",
                      // "counters", "waiver"
   std::string message;
   Severity severity = Severity::kError;

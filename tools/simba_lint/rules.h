@@ -55,7 +55,7 @@ struct FileAnalysis {
 };
 
 /// Lexes and runs every per-file pass: the line rules (determinism,
-/// sync, bounded, trace, alloc and — when `with_layer` — the direct
+/// sync, bounded, trace, alloc, label and — when `with_layer` — the direct
 /// [layer] include checks), waiver collection + audit, counter-site
 /// and include-directive extraction. `with_layer` is false under
 /// lint_tree, where the include-graph pass owns [layer].

@@ -3,9 +3,13 @@
 // file-local [waiver] audit. Rules read the lexed per-line views:
 // `code` (comments blanked, strings kept) for include directives,
 // `tokens` (comments and strings blanked) for banned-name matching —
-// so banned names in comments or string literals never trip.
+// so banned names in comments or string literals never trip. [label]
+// counts call arguments, which may span lines, so it reads the token
+// stream instead.
 #include <array>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "rules.h"
 
@@ -81,6 +85,10 @@ constexpr std::array<std::string_view, 2> kBoundedModules{"core", "net"};
 // an 'ordered' waiver asserting their sorted iteration is load-bearing.
 constexpr std::array<std::string_view, 4> kFlatMapModules{"core", "net",
                                                           "util", "fleet"};
+
+// Simulator scheduling calls; the event label is the third argument.
+constexpr std::array<std::string_view, 3> kScheduleCalls{"at", "after",
+                                                         "every"};
 
 constexpr std::string_view kWaiverMarker = "simba-lint:";
 
@@ -199,6 +207,54 @@ bool string_keyed_map(const std::string& tokens) {
     ++pos;
   }
   return false;
+}
+
+bool is_punct(const Token& t, std::string_view text) {
+  return t.kind == Token::Kind::kPunct && t.text == text;
+}
+
+// Number of top-level arguments of the call whose '(' is ts[open].
+int count_args(const std::vector<Token>& ts, std::size_t open) {
+  int depth = 0;
+  int commas = 0;
+  for (std::size_t j = open; j < ts.size(); ++j) {
+    const Token& t = ts[j];
+    if (is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")) {
+      ++depth;
+    } else if (is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")) {
+      if (--depth == 0) return j == open + 1 ? 0 : commas + 1;
+    } else if (depth == 1 && is_punct(t, ",")) {
+      ++commas;
+    }
+  }
+  return commas + 1;  // unterminated call: count what is there
+}
+
+// [label] — every event scheduled on the simulator carries a label,
+// so per-label event counts can attribute it: a sim.at/after/every
+// (or sim_.) call needs its third, label argument.
+void check_schedule_labels(FileAnalysis& fa) {
+  const std::vector<Token>& ts = fa.lex.tokens;
+  for (std::size_t i = 0; i + 3 < ts.size(); ++i) {
+    const bool on_sim = ts[i].kind == Token::Kind::kIdent &&
+                        (ts[i].text == "sim" || ts[i].text == "sim_");
+    if (!on_sim || !is_punct(ts[i + 1], ".") ||
+        ts[i + 2].kind != Token::Kind::kIdent || !is_punct(ts[i + 3], "(")) {
+      continue;
+    }
+    bool schedules = false;
+    for (const std::string_view call : kScheduleCalls) {
+      schedules = schedules || ts[i + 2].text == call;
+    }
+    if (!schedules || count_args(ts, i + 3) >= 3) continue;
+    fa.diags.push_back(Diagnostic{
+        fa.rel_path, ts[i + 2].line, "label",
+        "'" + ts[i].text + "." + ts[i + 2].text +
+            "(' schedules an unlabeled event; pass a string-literal (or "
+            "interned) label as the third argument so per-label event "
+            "counts can attribute it",
+        Severity::kError});
+  }
 }
 
 }  // namespace
@@ -431,6 +487,8 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
       }
     }
   }
+
+  if (in_src) check_schedule_labels(fa);
 
   // [waiver] — the audit: a waiver that suppressed nothing has
   // outlived its reason (or never had one) and must go, so stale

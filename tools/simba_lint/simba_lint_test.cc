@@ -249,6 +249,35 @@ TEST(SimbaLint, EagerLogMessagesAreFlagged) {
   EXPECT_NE(out.find("3 violation(s)"), std::string::npos) << out;
 }
 
+TEST(SimbaLint, ScheduledEventsMustBeLabeled) {
+  const LintResult result = lint_fixture("label");
+  EXPECT_EQ(result.files_scanned, 2);
+  // bad_label.cc: sim.at (5), the multi-line sim.after (6) and
+  // sim_.every (13) pass two arguments. The labeled calls in both
+  // files, the map at() and the literal in ok_label.cc stay clean.
+  ASSERT_EQ(result.diagnostics.size(), 3u);
+  for (const Diagnostic& d : result.diagnostics) {
+    EXPECT_EQ(d.file, "src/fleet/bad_label.cc");
+    EXPECT_EQ(d.rule, "label");
+  }
+  EXPECT_EQ(result.diagnostics[0].line, 5);
+  EXPECT_EQ(format(result.diagnostics[0]),
+            "src/fleet/bad_label.cc:5: error: [label] 'sim.at(' schedules an "
+            "unlabeled event; pass a string-literal (or interned) label as "
+            "the third argument so per-label event counts can attribute it");
+  EXPECT_EQ(result.diagnostics[1].line, 6);
+  EXPECT_NE(result.diagnostics[1].message.find("'sim.after('"),
+            std::string::npos);
+  EXPECT_EQ(result.diagnostics[2].line, 13);
+  EXPECT_NE(result.diagnostics[2].message.find("'sim_.every('"),
+            std::string::npos);
+
+  std::string out;
+  EXPECT_EQ(cli({"--root", (std::string(kTestdata) + "/label").c_str()}, out),
+            1);
+  EXPECT_NE(out.find("3 violation(s)"), std::string::npos) << out;
+}
+
 TEST(SimbaLint, CommentsAndStringsDoNotTrip) {
   const std::vector<Diagnostic> diags = lint_file(
       "src/core/x.cc",
