@@ -1,17 +1,9 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace simba::sim {
-
-int Simulator::Bitmap::next_above(int i) const {
-  for (int w = (i + 1) >> 6; w < kSlots / 64; ++w) {
-    std::uint64_t bits = words[w];
-    if (w == (i + 1) >> 6) bits &= ~0ull << ((i + 1) & 63);
-    if (bits != 0) return (w << 6) + __builtin_ctzll(bits);
-  }
-  return kSlots;
-}
 
 Simulator::Simulator(std::uint64_t seed)
     : seed_(seed), root_rng_(Rng{seed}.child("root")) {
@@ -46,25 +38,9 @@ void Simulator::release_slot(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-void Simulator::place(const QueueEntry& entry) {
-  const Tick t = tick_of(entry.when);
-  assert(t >= cursor_);
-  const auto x =
-      static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(cursor_);
-  if ((x >> kOverflowShift) != 0) {
-    overflow_[t >> kOverflowShift].push_back(entry);
-    return;
-  }
-  // Lowest level whose block bits (everything above the level's 8-bit
-  // slot group) match the cursor's. Same-tick events always agree on
-  // this, whatever the cursor was when each was filed, so they share
-  // one slot list and FIFO order is append order (DESIGN.md §13).
-  int level = 0;
-  while ((x >> (kSlotBits * (level + 1))) != 0) ++level;
-  const int index = static_cast<int>((t >> (kSlotBits * level)) & (kSlots - 1));
-  std::vector<QueueEntry>& slot = slots_[level][index];
-  if (slot.empty()) occupied_[level].set(index);
-  slot.push_back(entry);
+void Simulator::push(const QueueEntry& entry) {
+  queue_.push_back(entry);
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 EventId Simulator::at(TimePoint t, Callback cb, const char* label) {
@@ -75,8 +51,7 @@ EventId Simulator::at(TimePoint t, Callback cb, const char* label) {
   event.callback = std::move(cb);
   event.label = label == nullptr ? "" : label;
   event.pending = true;
-  ++entry_count_;
-  place(QueueEntry{t, next_sequence_++, slot});
+  push(QueueEntry{t, next_sequence_++, slot});
   return make_id(slot, event.generation);
 }
 
@@ -91,9 +66,9 @@ void Simulator::cancel(EventId id) {
   if (slot >= pool_.size()) return;
   Event& event = pool_[slot];
   if (!event.pending || event.generation != generation) return;
-  // The wheel entry still references this slot, so the slot is only
-  // freed (and its generation bumped) when that entry is consumed —
-  // by a find_next() scan, a cascade, or a block sweep.
+  // The queue entry still references this slot, so the slot is only
+  // freed (and its generation bumped) when that entry reaches the top
+  // and release_cancelled_heads() pops it.
   event.cancelled = true;
 }
 
@@ -109,203 +84,26 @@ TaskHandle Simulator::every(Duration period, Callback cb, const char* label,
   event.periodic = task;
   event.label = label == nullptr ? "" : label;
   event.pending = true;
-  ++entry_count_;
-  place(QueueEntry{event.when, next_sequence_++, slot});
+  push(QueueEntry{event.when, next_sequence_++, slot});
   return TaskHandle{std::move(task)};
 }
 
-std::optional<Simulator::Tick> Simulator::find_next() {
-  // Kernel-cancelled events scanned past here are dropped silently: no
-  // time advance, no events_processed tick — the wheel's analog of the
-  // heap's drop_cancelled_head(). (A flag-cancelled periodic task is
-  // different — its already-armed fire still pops as a real event; see
-  // fire_at().)
-
-  // 1. Remainder of the cursor's own level-0 slot: the next same-tick
-  // FIFO entry, including zero-delay events the firing callback just
-  // appended.
-  {
-    const int index = static_cast<int>(cursor_ & (kSlots - 1));
-    std::vector<QueueEntry>& slot = slots_[0][index];
-    std::uint32_t& head = head0_[index];
-    while (head < slot.size()) {
-      if (!pool_[slot[head].slot].cancelled) return cursor_;
-      release_slot(slot[head].slot);
-      consume_entry();
-      ++head;
-    }
-    if (!slot.empty()) {
-      slot.clear();
-      head = 0;
-      occupied_[0].clear(index);
-    }
-  }
-  // 2. Level-0 slots ahead in the current 256-tick block; each slot
-  // resolves exactly one tick.
-  {
-    const int cur = static_cast<int>(cursor_ & (kSlots - 1));
-    Bitmap& bits = occupied_[0];
-    for (int index = bits.next_above(cur); index < kSlots;
-         index = bits.next_above(index)) {
-      std::vector<QueueEntry>& slot = slots_[0][index];
-      std::uint32_t& head = head0_[index];
-      while (head < slot.size() && pool_[slot[head].slot].cancelled) {
-        release_slot(slot[head].slot);
-        consume_entry();
-        ++head;
-      }
-      if (head < slot.size()) {
-        return (cursor_ >> kSlotBits << kSlotBits) | index;
-      }
-      slot.clear();
-      head = 0;
-      bits.clear(index);
-    }
-  }
-  // 3. Higher levels: the first occupied slot ahead strictly precedes
-  // every later slot and every higher level (disjoint ascending tick
-  // ranges), so its minimum live tick is the global next. Cancelled
-  // entries inside a mixed slot stay put — the cascade that empties
-  // the slot releases them.
-  for (int level = 1; level < kLevels; ++level) {
-    const int cur =
-        static_cast<int>((cursor_ >> (kSlotBits * level)) & (kSlots - 1));
-    Bitmap& bits = occupied_[level];
-    for (int index = bits.next_above(cur); index < kSlots;
-         index = bits.next_above(index)) {
-      std::vector<QueueEntry>& slot = slots_[level][index];
-      Tick best = -1;
-      for (const QueueEntry& entry : slot) {
-        if (pool_[entry.slot].cancelled) continue;
-        const Tick t = tick_of(entry.when);
-        if (best < 0 || t < best) best = t;
-      }
-      if (best >= 0) return best;
-      for (const QueueEntry& entry : slot) {
-        release_slot(entry.slot);
-        consume_entry();
-      }
-      slot.clear();
-      bits.clear(index);
-    }
-  }
-  // 4. Overflow calendar, in block order.
-  while (!overflow_.empty()) {
-    const auto it = overflow_.begin();
-    Tick best = -1;
-    for (const QueueEntry& entry : it->second) {
-      if (pool_[entry.slot].cancelled) continue;
-      const Tick t = tick_of(entry.when);
-      if (best < 0 || t < best) best = t;
-    }
-    if (best >= 0) return best;
-    for (const QueueEntry& entry : it->second) {
-      release_slot(entry.slot);
-      consume_entry();
-    }
-    overflow_.erase(it);
-  }
-  return std::nullopt;
-}
-
-void Simulator::sweep_level(int level, int from, int to) {
-  Bitmap& bits = occupied_[level];
-  for (int index = bits.next_above(from); index < to;
-       index = bits.next_above(index)) {
-    std::vector<QueueEntry>& slot = slots_[level][index];
-    // Level-0 entries before the consumed-prefix head were already
-    // released when they fired or were dropped.
-    const std::size_t start = level == 0 ? head0_[index] : 0;
-    for (std::size_t i = start; i < slot.size(); ++i) {
-      assert(pool_[slot[i].slot].cancelled);
-      release_slot(slot[i].slot);
-      consume_entry();
-    }
-    slot.clear();
-    if (level == 0) head0_[index] = 0;
-    bits.clear(index);
+void Simulator::release_cancelled_heads() {
+  // Only cancel(id) marks an entry here. A periodic task cancelled
+  // through its handle is not marked: its already-armed fire still
+  // pops as a real event (see fire_head()).
+  while (!queue_.empty() && pool_[queue_.front().slot].cancelled) {
+    const std::uint32_t slot = queue_.front().slot;
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    release_slot(slot);
   }
 }
 
-void Simulator::cascade(int level, int index) {
-  std::vector<QueueEntry>& slot = slots_[level][index];
-  if (slot.empty()) return;
-  occupied_[level].clear(index);
-  // Every entry here matches the (advanced) cursor on this level's
-  // block bits, so place() re-files it strictly below `level` — never
-  // back into this vector, so in-place iteration is safe. Iterating in
-  // list order keeps same-tick entries in sequence order.
-  for (const QueueEntry& entry : slot) {
-    if (pool_[entry.slot].cancelled) {
-      release_slot(entry.slot);
-      consume_entry();
-    } else {
-      place(entry);
-    }
-  }
-  slot.clear();
-}
-
-void Simulator::advance_cursor(Tick target) {
-  const Tick old = cursor_;
-  assert(target > old);
-  if ((old >> kOverflowShift) != (target >> kOverflowShift)) {
-    // Entering a new overflow block: anything still filed in the wheel
-    // is earlier than the next live event, hence cancelled.
-    for (int level = 0; level < kLevels; ++level) {
-      sweep_level(level, -1, kSlots);
-    }
-    cursor_ = target;
-    // Demote the target block's bucket. Earlier buckets were released
-    // by find_next() (they held no live entries); later buckets wait.
-    const Tick block = target >> kOverflowShift;
-    while (!overflow_.empty() && overflow_.begin()->first <= block) {
-      std::vector<QueueEntry> entries = std::move(overflow_.begin()->second);
-      overflow_.erase(overflow_.begin());
-      for (const QueueEntry& entry : entries) {
-        if (pool_[entry.slot].cancelled || tick_of(entry.when) < target) {
-          assert(pool_[entry.slot].cancelled);
-          release_slot(entry.slot);
-          consume_entry();
-        } else {
-          place(entry);
-        }
-      }
-    }
-    return;
-  }
-  // Highest level whose block changed; everything below it is being
-  // left behind (stale cancelled leftovers), and at that level the
-  // slot containing `target` becomes current and cascades down.
-  int level = kLevels - 1;
-  while (level > 0 &&
-         (old >> (kSlotBits * level)) == (target >> (kSlotBits * level))) {
-    --level;
-  }
-  if (level == 0) {
-    cursor_ = target;
-    return;
-  }
-  for (int l = 0; l < level; ++l) sweep_level(l, -1, kSlots);
-  const int from = static_cast<int>((old >> (kSlotBits * level)) & (kSlots - 1));
-  const int to =
-      static_cast<int>((target >> (kSlotBits * level)) & (kSlots - 1));
-  sweep_level(level, from, to);
-  cursor_ = target;
-  cascade(level, to);
-}
-
-void Simulator::fire_at(Tick target) {
-  if (target != cursor_) advance_cursor(target);
-  const int index = static_cast<int>(target & (kSlots - 1));
-  std::vector<QueueEntry>& slot = slots_[0][index];
-  std::uint32_t& head = head0_[index];
-  // The head entry is live: find_next() released any cancelled prefix,
-  // and cascade/demotion release cancelled entries instead of placing.
-  assert(head < slot.size());
-  const QueueEntry entry = slot[head];
-  ++head;
-  consume_entry();
+void Simulator::fire_head() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  const QueueEntry entry = queue_.back();
+  queue_.pop_back();
   assert(entry.when >= now_);
   now_ = entry.when;
   ++processed_;
@@ -332,8 +130,7 @@ void Simulator::fire_at(Tick target) {
     // fire before the next tick, matching FIFO expectations.
     Event& rearmed = pool_[entry.slot];
     rearmed.when = now_ + task->period;
-    ++entry_count_;
-    place(QueueEntry{rearmed.when, next_sequence_++, entry.slot});
+    push(QueueEntry{rearmed.when, next_sequence_++, entry.slot});
     return;
   }
   // One-shot: free the slot before invoking, so cancel(own id) inside
@@ -345,20 +142,13 @@ void Simulator::fire_at(Tick target) {
   cb();
 }
 
-bool Simulator::queue_empty() const {
-  // Cancelled-but-unreleased entries still count as occupancy; this is
-  // a cheap conservative check used only by diagnostics.
-  return entry_count_ == 0;
-}
-
 void Simulator::restore_clock(TimePoint now, std::uint64_t events_processed,
                               std::uint64_t sequence_counter) {
   // Only a kernel that has never scheduled or fired anything can be
-  // re-aligned: the wheel cursor jumps forward, and any entry placed
-  // before the jump would sit in a slot the cursor will never revisit.
-  assert(entry_count_ == 0 && processed_ == 0 && pool_.empty());
+  // re-aligned: an entry queued before the jump could fire in the
+  // restored clock's past.
+  assert(queue_.empty() && processed_ == 0 && pool_.empty());
   now_ = now;
-  cursor_ = tick_of(now);
   processed_ = events_processed;
   next_sequence_ = sequence_counter;
 }
@@ -366,19 +156,18 @@ void Simulator::restore_clock(TimePoint now, std::uint64_t events_processed,
 void Simulator::run() {
   stopped_ = false;
   while (!stopped_) {
-    const std::optional<Tick> next = find_next();
-    if (!next) break;
-    fire_at(*next);
+    release_cancelled_heads();
+    if (queue_.empty()) break;
+    fire_head();
   }
 }
 
 void Simulator::run_until(TimePoint t) {
   stopped_ = false;
-  const Tick limit = tick_of(t);
   while (!stopped_) {
-    const std::optional<Tick> next = find_next();
-    if (!next || *next > limit) break;
-    fire_at(*next);
+    release_cancelled_heads();
+    if (queue_.empty() || queue_.front().when > t) break;
+    fire_head();
   }
   if (now_ < t) now_ = t;
 }

@@ -12,23 +12,20 @@
 // `const char*` — string literals or pointers interned via
 // util::StringInterner — so scheduling never copies a label.
 //
-// Event ordering (DESIGN.md §13) is a hierarchical timing wheel: four
-// levels of 256 slots covering 2^32 ticks (~71.6 virtual minutes of
-// microseconds), with a calendar-queue overflow for far-future events.
-// Placement is by *absolute* tick position relative to the wheel
-// cursor, so two events with the same fire tick always share one slot
-// list and append order equals sequence order — the exact
-// (when, sequence) FIFO tie-break of the original binary heap, proven
-// equivalent by tests/scheduler_diff_test.cc against the retained
-// sim::ReferenceScheduler.
+// Event ordering (DESIGN.md §13) is one binary min-heap of plain
+// (when, sequence, slot) entries: equal times fire in sequence order,
+// the FIFO tie-break the golden traces and fleet merges depend on.
+// Cancelled entries stay in the heap until they reach the top, where
+// the run loop releases them without advancing time. A simulated world
+// holds a few dozen events at a time, where a heap's few levels of one
+// contiguous array beat a timing wheel's cascades (DESIGN.md §13).
+// tests/scheduler_diff_test.cc diffs this kernel against
+// sim::ReferenceScheduler, an independent copy of the same algorithm.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -114,7 +111,7 @@ class Simulator {
   /// Which event-ordering structure this kernel uses; recorded in the
   /// BENCH_*.json baselines so heap-era and wheel-era runs are
   /// distinguishable in the perf trajectory.
-  static constexpr const char* kScheduler = "wheel";
+  static constexpr const char* kScheduler = "heap";
 
   TimePoint now() const { return now_; }
   std::uint64_t seed() const { return seed_; }
@@ -155,7 +152,9 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::uint64_t events_processed() const { return processed_; }
-  bool queue_empty() const;
+  /// Cancelled entries that have not reached the top of the queue yet
+  /// still count, so this is a conservative check for diagnostics.
+  bool queue_empty() const { return queue_.empty(); }
 
   /// Next tie-break sequence number; carried across crash-restarts so
   /// a resumed run's FIFO ordering stays monotonic with its past.
@@ -178,8 +177,8 @@ class Simulator {
  private:
   friend class KernelTestPeer;  // tests/sim_test.cc: generation-wrap seams
 
-  /// One pool slot. A slot is `pending` from scheduling until its wheel
-  /// entry is consumed (even while cancelled — the entry still
+  /// One pool slot. A slot is `pending` from scheduling until its queue
+  /// entry is popped (even while cancelled — the entry still
   /// references it); release bumps the generation so stale EventIds
   /// miss.
   struct Event {
@@ -191,74 +190,35 @@ class Simulator {
     bool cancelled = false;
     bool pending = false;
   };
-  /// Wheel entry: plain value type, no indirection. At most one live
-  /// entry per pending slot (a periodic slot re-arms only after its
-  /// previous entry was consumed). Within a slot list, entries are
-  /// always in ascending `sequence` order — the FIFO tie-break.
+  /// Queue entry: plain value type, no indirection. At most one entry
+  /// per pending slot (a periodic slot re-arms only after its previous
+  /// entry was popped).
   struct QueueEntry {
     TimePoint when;
     std::uint64_t sequence;  // tie-break: FIFO among equal times
     std::uint32_t slot;
   };
-
-  // --- Timing wheel geometry ------------------------------------------------
-  // Level L slot s holds entries whose tick matches the wheel cursor on
-  // all bit-groups above L and differs first in group L, with
-  // s == (tick >> 8L) & 255. Level 0 therefore resolves exact ticks
-  // (one tick per slot within the current 256-tick block); ticks whose
-  // top 32 bits exceed the cursor's live in the overflow calendar.
-  static constexpr int kSlotBits = 8;
-  static constexpr int kSlots = 1 << kSlotBits;            // 256
-  static constexpr int kLevels = 4;                        // 2^32 tick span
-  static constexpr int kOverflowShift = kSlotBits * kLevels;
-
-  using Tick = std::int64_t;  // microseconds, TimePoint::time_since_epoch
-
-  /// 256-slot occupancy bitmap: O(1) next-occupied-slot via ctz.
-  struct Bitmap {
-    std::array<std::uint64_t, kSlots / 64> words{};
-    void set(int i) { words[i >> 6] |= 1ull << (i & 63); }
-    void clear(int i) { words[i >> 6] &= ~(1ull << (i & 63)); }
-    /// Smallest set index strictly greater than `i` (pass -1 to scan
-    /// from 0), or kSlots when none.
-    int next_above(int i) const;
+  /// Later(a, b): a fires after b. As the heap's less-than it puts the
+  /// earliest (when, sequence) on top.
+  struct Later {
+    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.sequence > b.sequence;
+    }
   };
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
-  static Tick tick_of(TimePoint t) { return t.time_since_epoch().count(); }
 
   std::uint32_t allocate_slot();
   void release_slot(std::uint32_t slot);
-
-  /// Files `entry` into the wheel level/slot (or overflow bucket)
-  /// determined by its tick relative to the wheel cursor. Requires
-  /// entry.when >= cursor (guaranteed: `at` clamps to now >= cursor).
-  void place(const QueueEntry& entry);
-
-  /// Finds the earliest live (non-cancelled) entry without moving the
-  /// wheel cursor, releasing kernel-cancelled entries it scans past —
-  /// the wheel's analog of the heap's drop_cancelled_head(). Returns
-  /// the entry's tick, or nullopt when nothing remains.
-  std::optional<Tick> find_next();
-
-  /// Advances the wheel cursor to `target` (the tick find_next
-  /// returned): sweeps stale cancelled leftovers from blocks being
-  /// left behind, cascades the higher-level slot (or demotes the
-  /// overflow bucket) that becomes current, then consumes and runs the
-  /// first live entry of the level-0 slot.
-  void fire_at(Tick target);
-  void advance_cursor(Tick target);
-  /// Releases every entry in level `level` slots with index in
-  /// (`from`, `to`) exclusive; all must be cancelled (they are strictly
-  /// earlier than the next live event).
-  void sweep_level(int level, int from, int to);
-  /// Empties one higher-level slot, re-placing live entries relative to
-  /// the (already advanced) cursor and releasing cancelled ones.
-  void cascade(int level, int index);
-  /// Consumes one entry (fired or cancelled-dropped) for bookkeeping.
-  void consume_entry() { --entry_count_; }
+  void push(const QueueEntry& entry);
+  /// Pops and releases kernel-cancelled entries from the top of the
+  /// queue: no time advance, no events_processed tick.
+  void release_cancelled_heads();
+  /// Pops the top entry, which must be live, and fires it.
+  void fire_head();
 
   TimePoint now_{};
   std::uint64_t seed_;
@@ -266,27 +226,11 @@ class Simulator {
 
   std::vector<Event> pool_;
   std::vector<std::uint32_t> free_;
+  /// Binary min-heap under Later: front() is the next entry to pop.
+  std::vector<QueueEntry> queue_;
   std::uint64_t next_sequence_ = 1;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
-
-  // --- Wheel state ----------------------------------------------------------
-  /// Tick of the last fired event; placement is relative to this.
-  /// Invariant whenever user code runs: cursor_ <= now_, and every
-  /// queued entry has tick >= cursor_.
-  Tick cursor_ = 0;
-  std::array<std::array<std::vector<QueueEntry>, kSlots>, kLevels> slots_;
-  std::array<Bitmap, kLevels> occupied_;
-  /// Consumed prefix per level-0 slot: entries [0, head0_[s]) of
-  /// slots_[0][s] have fired or been dropped. Index-based so callbacks
-  /// can append same-tick (zero-delay) events to the slot mid-drain.
-  std::array<std::uint32_t, kSlots> head0_{};
-  /// Calendar-queue overflow: 2^32-tick buckets keyed by tick >> 32,
-  /// demoted into the wheel when the cursor enters their block.
-  std::map<Tick, std::vector<QueueEntry>> overflow_;
-  /// Entries currently filed (live + cancelled-but-unreleased), for
-  /// queue_empty() diagnostics.
-  std::size_t entry_count_ = 0;
 };
 
 }  // namespace simba::sim

@@ -1,10 +1,10 @@
-// Reference event scheduler: the pre-wheel binary-heap kernel,
-// retained verbatim as the test oracle for the timing wheel.
+// Reference event scheduler: an independent binary-heap kernel, kept
+// as the test oracle for sim::Simulator.
 //
 // scheduler_diff_test.cc drives seed-generated op sequences
 // (schedule / cancel / periodic re-arm / cancel-in-callback mixes)
 // through both this class and sim::Simulator and asserts identical
-// firing orders — the proof that the wheel preserves the exact
+// firing orders — the proof that the kernel keeps the exact
 // (when, sequence) FIFO tie-break the golden traces and fleet merges
 // depend on. It lives in the test tree and is compiled only into that
 // test; the production kernel is sim::Simulator (DESIGN.md §13).
@@ -12,7 +12,9 @@
 // The implementation is the PR-5 heap kernel: slab/free-list event
 // pool, generation-tagged EventIds, a std::priority_queue of plain
 // (when, sequence, slot) entries, release-before-fire one-shots, and
-// in-place periodic re-arm. It shares Callback / PeriodicTask /
+// in-place periodic re-arm. sim::Simulator runs the same algorithm on
+// its own code (std::push_heap/pop_heap over a vector), so the diff
+// catches a change to either. It shares Callback / PeriodicTask /
 // TaskHandle with the real kernel so op scripts are written once.
 #pragma once
 

@@ -1,26 +1,32 @@
-// Differential test harness: timing wheel vs reference heap.
+// Differential test harness: the kernel vs the reference heap.
 //
-// The wheel kernel (sim::Simulator, DESIGN.md §13) must reproduce the
-// binary heap's (when, sequence) FIFO ordering *exactly* — the golden
-// traces and the serial-vs-threaded fleet merge identity both depend
-// on it. This harness generates seed-driven op programs (schedule /
-// cancel / periodic re-arm / cancel-in-callback mixes, with delays
-// chosen to hit every wheel level, tick ties, and the overflow
-// calendar), runs the identical program through both kernels, and
-// asserts byte-identical firing logs plus equal processed counts and
-// final clocks.
+// The kernel (sim::Simulator, DESIGN.md §13) must reproduce the
+// reference scheduler's (when, sequence) FIFO ordering *exactly* — the
+// golden traces and the serial-vs-threaded fleet merge identity both
+// depend on it. Both are binary heaps; the reference is an independent
+// copy kept in the test tree, so a change to the kernel's queue, pool
+// or run loop that breaks the order shows here. This harness generates
+// seed-driven op programs (schedule / cancel / periodic re-arm /
+// cancel-in-callback mixes, with delays from the same tick to past
+// 2^32 us, dense with ties), runs the identical program through both
+// kernels, and asserts byte-identical firing logs plus equal processed
+// counts and final clocks.
 //
 // The matrix (16 seeds x 4 op-mix profiles) runs under tier1 as the
-// `scheduler_diff` gate; the *Slow* suite repeats it at 10x ops under
-// `ctest -L slow`. A set of wheel-boundary property tests pins the
-// hand-analyzed hard cases: ties straddling a cascade, overflow
-// demotion + cancel, and zero-delay scheduling into the slot being
-// drained.
+// `scheduler_diff` gate, plus the four profiles once more on a kernel
+// restored to a clock past 2^32 us; the *Slow* suite repeats the matrix
+// at 10x ops under `ctest -L slow`. The SchedulerWheelBoundaryTest
+// cases pin hand-analyzed hard cases at the delays that were the
+// boundaries of the timing wheel the kernel used before its heap:
+// ties around 256-us block edges, cancels of far-future events, and
+// zero-delay scheduling at the current tick. Their names keep the
+// wheel's terms.
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,9 +81,9 @@ constexpr Profile kProfiles[] = {
     {"mixed", {0.50, 0.20, 0.15, 0.15}},
 };
 
-// Delay palette spanning every wheel placement: zero (same tick),
-// level 0 (<256 us), level 1, level 2, level 3, and the overflow
-// calendar (> 2^32 us). Small discrete values repeat often so that
+// Delay palette from the same tick to past 2^32 us, banded at 256 us,
+// 2^16, 2^24 and 2^32 us (the timing wheel's level edges, which the
+// programs keep covering). Small discrete values repeat often so that
 // same-tick ties — the whole point of the FIFO tie-break — occur
 // constantly, not occasionally.
 std::int64_t pick_delay(Rng& rng) {
@@ -86,22 +92,22 @@ std::int64_t pick_delay(Rng& rng) {
       return 0;  // same tick as the pump batch: guaranteed ties
     case 1:
     case 2:
-      return rng.uniform_int(1, 7);  // heavy collisions inside level 0
+      return rng.uniform_int(1, 7);  // heavy collisions
     case 3:
     case 4:
-      return rng.uniform_int(1, 255);  // level 0
+      return rng.uniform_int(1, 255);
     case 5:
-      return 255 + rng.uniform_int(1, 3);  // straddle the first cascade
+      return 255 + rng.uniform_int(1, 3);  // straddle a 256-us edge
     case 6:
     case 7:
-      return rng.uniform_int(256, (1 << 16) - 1);  // level 1
+      return rng.uniform_int(256, (1 << 16) - 1);
     case 8:
-      return rng.uniform_int(1 << 16, (1 << 24) - 1);  // level 2
+      return rng.uniform_int(1 << 16, (1 << 24) - 1);
     case 9:
-      return rng.uniform_int(1 << 24, (1ll << 32) - 1);  // level 3
+      return rng.uniform_int(1 << 24, (1ll << 32) - 1);
     case 10:
-      // Overflow calendar; close enough that a program of a few
-      // hundred ops still reaches and demotes these buckets.
+      // Past 2^32 us; close enough that a program of a few hundred
+      // ops still reaches and fires these events.
       return rng.uniform_int(1ll << 32, (1ll << 32) + (1ll << 30));
     default:
       return rng.uniform_int(1, 4096);  // generic short-horizon churn
@@ -159,19 +165,35 @@ std::vector<Op> make_program(std::uint64_t seed, const Profile& profile,
 // Harness
 // ---------------------------------------------------------------------------
 
+// Where a Simulator's clock starts: Simulator::restore_clock aligns a
+// fresh kernel to it, as a resumed world's kernel is aligned to its
+// checkpoint. The default is a fresh kernel's own state. The reference
+// scheduler always starts from zero.
+struct Origin {
+  TimePoint now = kTimeZero;
+  std::uint64_t processed = 0;
+  std::uint64_t sequence = 1;
+};
+
 // Runs one op program to completion on a scheduler and records every
 // observable: each fire as "tag@usec", then the final clock, processed
-// count, and pool drain state. Identical programs must yield identical
-// records on both kernels.
+// count, and pool drain state. Times and counts are logged relative to
+// the origin, so identical programs must yield identical records on
+// both kernels whatever clock the Simulator was restored to.
 //
 // Ops are applied in batches of kOpsPerBatch from inside the scheduler
 // ("pump" events every 1ms of virtual time), so scheduling calls
 // interleave with fires exactly the way real workloads interleave them
-// — including cancels that race demotions and cascades.
+// — including cancels that race the fires of their victims.
 template <typename Scheduler>
 class Harness {
  public:
-  explicit Harness(const std::vector<Op>& ops) : ops_(ops) {}
+  explicit Harness(const std::vector<Op>& ops, const Origin& origin = {})
+      : ops_(ops), origin_(origin) {
+    if constexpr (std::is_same_v<Scheduler, Simulator>) {
+      sched_.restore_clock(origin.now, origin.processed, origin.sequence);
+    }
+  }
 
   std::vector<std::string> run() {
     pump();
@@ -179,9 +201,9 @@ class Harness {
     // Built with appends, not operator+ chains: GCC 12's -Werror=restrict
     // false-positives on temporary-string concatenation.
     std::string end = "end now=";
-    end += std::to_string(sched_.now().time_since_epoch().count());
+    end += std::to_string(usec_since_origin());
     end += " processed=";
-    end += std::to_string(sched_.events_processed());
+    end += std::to_string(sched_.events_processed() - origin_.processed);
     log_.push_back(std::move(end));
     return std::move(log_);
   }
@@ -226,11 +248,15 @@ class Harness {
     live_.emplace(tag, id);
   }
 
+  std::int64_t usec_since_origin() const {
+    return (sched_.now() - origin_.now).count();
+  }
+
   void record(const char* prefix, std::uint64_t tag) {
     std::string line = prefix;
     line += std::to_string(tag);
     line += '@';
-    line += std::to_string(sched_.now().time_since_epoch().count());
+    line += std::to_string(usec_since_origin());
     log_.push_back(std::move(line));
   }
 
@@ -298,6 +324,7 @@ class Harness {
   }
 
   const std::vector<Op>& ops_;
+  const Origin origin_;
   Scheduler sched_{1};
   std::vector<std::string> log_;
   std::uint64_t next_tag_ = 0;
@@ -310,11 +337,11 @@ class Harness {
 };
 
 void run_differential(std::uint64_t seed, const Profile& profile,
-                      std::size_t n_ops) {
+                      std::size_t n_ops, const Origin& origin = {}) {
   const std::vector<Op> program = make_program(seed, profile, n_ops);
 
-  Harness<Simulator> wheel(program);
-  const std::vector<std::string> wheel_log = wheel.run();
+  Harness<Simulator> kernel(program, origin);
+  const std::vector<std::string> kernel_log = kernel.run();
 
   Harness<ReferenceScheduler> heap(program);
   const std::vector<std::string> heap_log = heap.run();
@@ -322,18 +349,18 @@ void run_differential(std::uint64_t seed, const Profile& profile,
   // Identical firing order, clocks, and processed counts. Compare
   // sizes first so a divergence reports the first differing index,
   // not a wall of log text.
-  ASSERT_EQ(wheel_log.size(), heap_log.size())
+  ASSERT_EQ(kernel_log.size(), heap_log.size())
       << "seed=" << seed << " profile=" << profile.name;
-  for (std::size_t i = 0; i < wheel_log.size(); ++i) {
-    ASSERT_EQ(wheel_log[i], heap_log[i])
+  for (std::size_t i = 0; i < kernel_log.size(); ++i) {
+    ASSERT_EQ(kernel_log[i], heap_log[i])
         << "seed=" << seed << " profile=" << profile.name << " record " << i;
   }
 
   // Both kernels must fully drain: every pool slot back on the free
-  // list, no entries left filed.
-  EXPECT_TRUE(wheel.scheduler().queue_empty());
+  // list, no entries left queued.
+  EXPECT_TRUE(kernel.scheduler().queue_empty());
   EXPECT_TRUE(heap.scheduler().queue_empty());
-  EXPECT_EQ(wheel.scheduler().pool_free(), wheel.scheduler().pool_slots());
+  EXPECT_EQ(kernel.scheduler().pool_free(), kernel.scheduler().pool_slots());
   EXPECT_EQ(heap.scheduler().pool_free(), heap.scheduler().pool_slots());
 }
 
@@ -380,32 +407,49 @@ INSTANTIATE_TEST_SUITE_P(Matrix, SchedulerDiffSlowTest,
                                             ::testing::Range(0, 4)),
                          diff_param_name);
 
+// A restored kernel: the same programs, with the Simulator first
+// aligned by restore_clock to a clock past 2^32 us, a processed count
+// and a sequence counter, as a resumed world's kernel is. Its log,
+// relative to that origin, must match the reference run from zero.
+class SchedulerDiffRestoredTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SchedulerDiffRestoredTest, RestoredClockMatchesHeap) {
+  const Origin origin{kTimeZero + micros((1ll << 32) + 123456789),
+                      /*processed=*/987654321, /*sequence=*/1ull << 40};
+  run_differential(/*seed=*/0x51b0a, kProfiles[GetParam()], /*n_ops=*/400,
+                   origin);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, SchedulerDiffRestoredTest, ::testing::Range(0, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(kProfiles[info.param].name);
+    });
+
 // ---------------------------------------------------------------------------
-// Wheel-boundary property tests
+// Boundary property tests at the timing wheel's edges
 // ---------------------------------------------------------------------------
 
 std::int64_t usec(const Simulator& sim) {
   return sim.now().time_since_epoch().count();
 }
 
-// Ties that straddle a cascade: events for one tick scheduled before
-// the cursor enters their 256-tick block (filed at level 1) and after
-// (filed directly at level 0) must still fire in schedule order. The
-// cascade that runs when the cursor crosses the block boundary is what
-// merges them into one slot list.
+// Ties across a 256-us block edge: events for one tick scheduled
+// before the clock enters their 256-us block and after it must still
+// fire in schedule order.
 TEST(SchedulerWheelBoundaryTest, TiesAcrossCascadeFireInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  // From t=0, tick 300 lives in level 1 (block 1 != cursor block 0).
+  // From t=0, tick 300 lies in the next 256-us block.
   sim.at(kTimeZero + micros(300), [&] { order.push_back(0); }, "t300.a");
   sim.at(kTimeZero + micros(300), [&] { order.push_back(1); }, "t300.b");
-  // A callback at t=100 (cursor still in block 0) appends another.
+  // A callback at t=100 (clock still in block 0) adds another.
   sim.at(kTimeZero + micros(100),
          [&] { sim.at(kTimeZero + micros(300), [&] { order.push_back(2); },
                       "t300.c"); },
          "t100");
-  // A callback at t=299 runs *after* the cascade into block 1; its
-  // tick-300 event files directly into level 0 and must come last.
+  // A callback at t=299 runs after the clock entered block 1; its
+  // tick-300 event was scheduled last and must fire last.
   sim.at(kTimeZero + micros(299),
          [&] { sim.at(kTimeZero + micros(300), [&] { order.push_back(3); },
                       "t300.d"); },
@@ -416,22 +460,19 @@ TEST(SchedulerWheelBoundaryTest, TiesAcrossCascadeFireInScheduleOrder) {
   EXPECT_EQ(sim.events_processed(), 6u);
 }
 
-// Far-future events live in the overflow calendar until the cursor
-// enters their 2^32-tick block, at which point the bucket is demoted
-// into the wheel. A cancel issued *after* demotion must still take
-// effect (the entry's slot/generation check, not its filing location,
-// is what cancel keys on).
+// Far-future events: two beyond 2^32 us. A cancel issued by the first
+// when it fires must still stop the second (cancel keys on the slot
+// and its generation, not on where the entry sits in the queue).
 TEST(SchedulerWheelBoundaryTest, CancelAfterOverflowDemotion) {
   Simulator sim;
   bool late_fired = false;
   int mid_fires = 0;
-  // Both beyond 2^32 us, same overflow block.
+  // Both beyond 2^32 us.
   const TimePoint mid = kTimeZero + micros((1ll << 32) + 1000);
   const TimePoint late = kTimeZero + micros((1ll << 32) + 500000);
   const EventId late_id =
       sim.at(late, [&] { late_fired = true; }, "late");
-  // Firing `mid` moves the cursor into the overflow block, demoting
-  // `late` out of the calendar and into a wheel level. Cancel it then.
+  // Firing `mid` cancels `late`, which is still queued.
   sim.at(mid,
          [&] {
            ++mid_fires;
@@ -447,9 +488,9 @@ TEST(SchedulerWheelBoundaryTest, CancelAfterOverflowDemotion) {
   EXPECT_EQ(sim.pool_free(), sim.pool_slots());
 }
 
-// A cancel while the event is still in the overflow calendar (never
-// demoted, because nothing else reaches its block) must also drain
-// cleanly: run() ends with the pool fully free.
+// A cancel of a far-future event that nothing else comes near must
+// also drain cleanly: run() releases the cancelled entry without
+// firing it or advancing the clock, and ends with the pool fully free.
 TEST(SchedulerWheelBoundaryTest, CancelWhileStillInOverflow) {
   Simulator sim;
   bool fired = false;
@@ -463,10 +504,9 @@ TEST(SchedulerWheelBoundaryTest, CancelWhileStillInOverflow) {
   EXPECT_EQ(sim.pool_free(), sim.pool_slots());
 }
 
-// Zero-delay scheduling from inside a callback appends to the very
-// slot list the kernel is draining (the head0_ consumed-prefix path):
-// the new event fires at the same tick, after already-queued same-tick
-// events, in schedule order.
+// Zero-delay scheduling from inside a callback: the new event fires at
+// the same tick, after already-queued same-tick events, in schedule
+// order.
 TEST(SchedulerWheelBoundaryTest, ZeroDelayAppendsToSlotBeingDrained) {
   Simulator sim;
   std::vector<int> order;
@@ -483,8 +523,8 @@ TEST(SchedulerWheelBoundaryTest, ZeroDelayAppendsToSlotBeingDrained) {
   EXPECT_EQ(usec(sim), 50);  // all four fired on one tick
 }
 
-// Periodic re-arms landing exactly on 256-tick block boundaries cross
-// a cascade on every fire; the chain must neither skip nor duplicate.
+// Periodic re-arms landing exactly on 256-us block edges; the chain
+// must neither skip nor duplicate.
 TEST(SchedulerWheelBoundaryTest, PeriodicAcrossRepeatedCascades) {
   Simulator sim;
   int fires = 0;
@@ -510,17 +550,17 @@ TEST(SchedulerWheelBoundaryTest, BoundaryTickCollisionsMatchHeap) {
     for (int i = 0; i < 300; ++i) {
       Op op;
       op.kind = kOpOneShot;
-      // Delays clustered on multiples of 256 (cascade boundaries) and
-      // their immediate neighbours.
+      // Delays clustered on multiples of 256 and their immediate
+      // neighbours.
       const std::int64_t base = 256 * rng.uniform_int(0, 64);
       op.delay_us = base + rng.uniform_int(-1, 1);
       if (op.delay_us < 0) op.delay_us = 0;
       op.action = rng.chance(0.2) ? kActZeroChild : kActNone;
       program.push_back(op);
     }
-    Harness<Simulator> wheel(program);
+    Harness<Simulator> kernel(program);
     Harness<ReferenceScheduler> heap(program);
-    EXPECT_EQ(wheel.run(), heap.run()) << "seed=" << seed;
+    EXPECT_EQ(kernel.run(), heap.run()) << "seed=" << seed;
   }
 }
 

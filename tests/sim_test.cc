@@ -406,8 +406,9 @@ class KernelTestPeer {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Kernel edge cases (ISSUE 6): generation wrap, zero-delay-at-now,
-// overflow demotion + cancel.
+// Kernel edge cases: generation wrap, zero-delay-at-now, cancel of a
+// far-future event. The overflow calendar in a test name is the one
+// the timing wheel kept before the kernel became a heap.
 // ---------------------------------------------------------------------------
 
 TEST(KernelEdgeTest, GenerationWrapSkipsZeroAndStaleIdsMiss) {
@@ -479,10 +480,8 @@ TEST(KernelEdgeTest, SchedulingAtNowVersusCurrentTickBoundary) {
 
 TEST(KernelEdgeTest, CancelOfEventDemotedFromOverflowCalendar) {
   Simulator sim;
-  // Victim sits past the 2^32-us wheel span, so it files in the
-  // overflow calendar. A slightly earlier event in the same overflow
-  // block drags the cursor into that block when it fires, demoting the
-  // victim into a wheel level — then cancels it by its original id.
+  // Victim sits past 2^32 us. A slightly earlier event cancels it by
+  // its original id when it fires.
   bool victim_fired = false;
   const EventId victim = sim.at(kTimeZero + micros((1ll << 32) + 900000),
                                 [&] { victim_fired = true; }, "victim");
