@@ -92,6 +92,13 @@ int main(int argc, char** argv) {
             std::to_string(report.events_processed));
   print_row("wall-clock for the virtual day", "-",
             strformat("%.2f s", report.wall_seconds));
+  const WallCost cost =
+      wall_cost(report.wall_seconds, static_cast<std::size_t>(users),
+                workload.horizon + workload.drain, sent);
+  print_row("wall per simulated user-day", "-",
+            strformat("%.0f us", cost.us_per_user_day),
+            "headline metric, as perfbench reports it");
+  print_row("wall per alert", "-", strformat("%.0f us", cost.us_per_alert));
   const double events_per_sec =
       report.events_processed / std::max(report.wall_seconds, 1e-9);
   print_row("kernel events per second", "-",
@@ -142,6 +149,8 @@ int main(int argc, char** argv) {
     json.add("alerts_duplicates", report.counters.get("alerts.duplicates"));
     json.add("events_processed", report.events_processed);
     json.add("wall_seconds", report.wall_seconds);
+    json.add("wall_us_per_user_day", cost.us_per_user_day);
+    json.add("wall_us_per_alert", cost.us_per_alert);
     json.add("events_per_sec", events_per_sec);
     json.add("peak_rss_bytes", peak_rss_bytes());
     if (!json.write_to(options.json)) return 1;

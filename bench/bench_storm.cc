@@ -134,6 +134,16 @@ int main(int argc, char** argv) {
   const std::uint64_t events = off.events_processed + on.events_processed;
   const double events_per_sec = events / std::max(wall, 1e-9);
   print_row("wall-clock (both modes)", "-", strformat("%.2f s", wall));
+  const fleet::StormWorkloadOptions shape = storm_options(/*defended=*/true);
+  const WallCost cost =
+      wall_cost(wall, 2 * static_cast<std::size_t>(users),
+                shape.horizon + shape.drain,
+                off.counters.get("invariant.submitted") + submitted);
+  print_row("wall per simulated user-day", "-",
+            strformat("%.0f us", cost.us_per_user_day),
+            "headline metric over both modes' worlds");
+  print_row("wall per alert", "-", strformat("%.0f us", cost.us_per_alert),
+            "over both modes' submitted alerts");
   print_row("kernel events per second", "-",
             strformat("%.0f", events_per_sec),
             "throughput metric tracked by BENCH_storm.json");
@@ -158,6 +168,8 @@ int main(int argc, char** argv) {
     json.add("invariant_violations", violations);
     json.add("events_processed", events);
     json.add("wall_seconds", wall);
+    json.add("wall_us_per_user_day", cost.us_per_user_day);
+    json.add("wall_us_per_alert", cost.us_per_alert);
     json.add("events_per_sec", events_per_sec);
     json.add("peak_rss_bytes", peak_rss_bytes());
     if (!json.write_to(options.json)) return 1;

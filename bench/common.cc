@@ -58,6 +58,18 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+WallCost wall_cost(double wall_seconds, std::size_t worlds,
+                   Duration run_length, std::int64_t alerts) {
+  WallCost cost;
+  const double world_days = static_cast<double>(worlds) *
+                            to_seconds(run_length) / to_seconds(days(1));
+  if (world_days > 0.0) cost.us_per_user_day = wall_seconds * 1e6 / world_days;
+  if (alerts > 0) {
+    cost.us_per_alert = wall_seconds * 1e6 / static_cast<double>(alerts);
+  }
+  return cost;
+}
+
 void JsonReport::add(const std::string& key, double value) {
   fields_.emplace_back(key, strformat("%.6g", value));
 }

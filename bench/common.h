@@ -28,6 +28,7 @@
 #include "sms/sms.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/time.h"
 
 namespace simba::bench {
 
@@ -73,6 +74,18 @@ struct Options {
 /// ru_maxrss). Timing/footprint-only — never fold into deterministic
 /// output.
 std::uint64_t peak_rss_bytes();
+
+/// The headline cost of a fleet run, as perfbench reports it: wall
+/// time per simulated world-day, where `worlds` worlds that each ran
+/// for `run_length` (horizon + drain) make worlds × run_length / 24 h
+/// world-days, and wall time per submitted alert (0 when none were).
+/// Timing-only, like peak_rss_bytes().
+struct WallCost {
+  double us_per_user_day = 0.0;
+  double us_per_alert = 0.0;
+};
+WallCost wall_cost(double wall_seconds, std::size_t worlds,
+                   Duration run_length, std::int64_t alerts);
 
 /// Insertion-ordered flat JSON object for bench metrics; just enough
 /// for the BENCH_*.json artifacts (numbers and plain strings).

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Compares perf-smoke bench JSON against the checked-in baselines.
 
-CI's perf-smoke job runs bench_kernel and bench_portal_scale with
---json and hands each output here next to its repo-root baseline
-(BENCH_kernel.json / BENCH_portal_scale.json). Throughput-style keys
-are compared at a relative tolerance (default +/-15%); every breach is
-surfaced as a GitHub `::warning::` annotation and a row in the step
-summary, but the exit code is always 0 — shared runners are far too
-noisy to gate merges on wall-clock numbers (ci.yml keeps the job
-continue-on-error for the same reason).
+CI's perf-smoke job runs bench_kernel, bench_portal_scale and
+bench_storm with --json and hands each output here next to its
+repo-root baseline (BENCH_kernel.json / BENCH_portal_scale.json /
+BENCH_storm.json). Headline and throughput-style keys are compared
+at a relative tolerance (default +/-15%); every breach is surfaced as
+a GitHub `::warning::` annotation and a row in the step summary, but
+the exit code is always 0 — shared runners are far too noisy to gate
+merges on wall-clock numbers (ci.yml keeps the job continue-on-error
+for the same reason).
 
 Usage:
   perf_smoke_compare.py --tolerance 0.15 \
       --pair BENCH_kernel.json:perf-artifacts/BENCH_kernel.json \
-      --pair BENCH_portal_scale.json:perf-artifacts/BENCH_portal_scale.json
+      --pair BENCH_portal_scale.json:perf-artifacts/BENCH_portal_scale.json \
+      --pair BENCH_storm.json:perf-artifacts/BENCH_storm.json
 
 Stdlib only; no third-party imports.
 """
@@ -23,14 +25,17 @@ import json
 import os
 import sys
 
-# Keys worth comparing. Rates regress when the code slows down;
-# peak RSS regresses when something starts hoarding memory; the storm
+# Keys worth comparing. The headline wall time per simulated user-day
+# and per alert rises, and rates fall, when the code slows down; peak
+# RSS regresses when something starts hoarding memory; the storm
 # bench's critical-p99 speedup regresses when the overload defenses
 # stop protecting the critical path. Identity and count keys (seed,
 # users, alerts_sent, ...) are deterministic and belong to correctness
 # tests, not a perf smoke.
 COMPARED_SUFFIXES = ("_per_sec",)
 COMPARED_KEYS = (
+    "wall_us_per_user_day",
+    "wall_us_per_alert",
     "events_per_sec",
     "peak_rss_bytes",
     "critical_p99_speedup_x",
