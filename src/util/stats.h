@@ -29,7 +29,9 @@ class Summary {
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
-  /// Exact percentile by nearest-rank on sorted samples; p in [0, 100].
+  /// Percentile of the sorted samples, p in [0, 100]: rank
+  /// p/100 * (n - 1), interpolated linearly between the two adjacent
+  /// ranks (the median of 1..100 is 50.5).
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
   double total() const { return sum_; }
