@@ -14,8 +14,7 @@ void Sensor::set_state(bool on) {
 void Sensor::start_heartbeat(Duration period) {
   stop_heartbeat();
   heartbeat_task_ = sim_.every(
-      period, [this] { transmit("HEARTBEAT"); },
-      (heartbeat_label_ = "sensor." + id_ + ".hb").c_str());
+      period, [this] { transmit("HEARTBEAT"); }, "sensor.heartbeat");
 }
 
 void Sensor::stop_heartbeat() { heartbeat_task_.cancel(); }

@@ -44,8 +44,6 @@ class Sensor {
   bool on_ = false;
   bool battery_dead_ = false;
   sim::TaskHandle heartbeat_task_;
-  /// Stable storage for the "sensor.<id>.hb" event label.
-  std::string heartbeat_label_;
 };
 
 /// An RF keyfob remote control (the disarm scenario's trigger).

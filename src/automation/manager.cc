@@ -48,9 +48,8 @@ void CommunicationManager::add_caption_pair(
 
 void CommunicationManager::start_monkey(Duration interval) {
   stop_monkey();
-  if (monkey_label_.empty()) monkey_label_ = name_ + ".monkey";
   monkey_task_ = sim_.every(
-      interval, [this] { monkey_sweep(); }, monkey_label_.c_str());
+      interval, [this] { monkey_sweep(); }, "automation.monkey");
 }
 
 void CommunicationManager::stop_monkey() { monkey_task_.cancel(); }

@@ -108,8 +108,6 @@ class CommunicationManager {
   gui::Desktop& desktop_;
   gui::ClientApp& app_;
   std::string name_;
-  /// Stable storage for the "<name>.monkey" event label.
-  std::string monkey_label_;
   gui::AutomationPointer pointer_;
   CaptionRegistry captions_;
   sim::TaskHandle monkey_task_;

@@ -13,8 +13,7 @@ EmailClientApp::EmailClientApp(sim::Simulator& sim, gui::Desktop& desktop,
                      std::move(profile)),
       server_(server),
       mailbox_address_(std::move(mailbox_address)),
-      config_(config),
-      poll_label_(name() + ".poll") {
+      config_(config) {
   server_.create_mailbox(mailbox_address_);
 }
 
@@ -22,7 +21,7 @@ void EmailClientApp::on_launch() {
   // A freshly launched client re-syncs from where it left off; the
   // server mailbox is durable, so nothing is lost across restarts.
   poll_task_ = sim().every(
-      config_.poll_interval, [this] { poll(); }, poll_label_.c_str(),
+      config_.poll_interval, [this] { poll(); }, "email.poll",
       /*immediate=*/true);
 }
 

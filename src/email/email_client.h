@@ -54,8 +54,6 @@ class EmailClientApp : public gui::ClientApp {
   EmailServer& server_;
   std::string mailbox_address_;
   EmailClientConfig config_;
-  /// Stable storage for the "<name>.poll" event label.
-  std::string poll_label_;
   std::size_t sync_cursor_ = 0;  // how much of the server mailbox we've seen
   std::deque<Email> unread_;
   std::function<void()> new_mail_event_;

@@ -208,6 +208,7 @@ void MessageBus::schedule_delivery(Message message, Duration latency,
   const std::uint32_t slot = acquire_inflight(std::move(message));
   // (this, slot, flag) fits std::function's inline buffer: scheduling
   // an arrival allocates nothing beyond the pooled slot itself.
+  // simba-lint: label(one per message type; the protocol bounds the set)
   sim_.after(latency,
              [this, slot, chaos_late_loss] { arrive(slot, chaos_late_loss); },
              label);

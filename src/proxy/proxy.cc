@@ -58,7 +58,7 @@ AlertProxy::WatchId AlertProxy::add_watch(WatchConfig config,
   watch.sink = std::move(sink);
   watch.poll_task = sim_.every(
       watch.config.poll_interval, [this, id] { poll(id); },
-      label_interner_.intern("proxy.poll." + watch.config.url),
+      "proxy.poll",
       /*immediate=*/true);
   watches_.emplace(id, std::move(watch));
   return id;

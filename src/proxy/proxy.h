@@ -17,7 +17,6 @@
 
 #include "core/alert.h"
 #include "sim/simulator.h"
-#include "util/interner.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -92,8 +91,6 @@ class AlertProxy {
   sim::Simulator& sim_;
   WebDirectory& web_;
   Rng rng_;
-  /// Owns the per-watch "proxy.poll.<url>" event labels.
-  util::StringInterner label_interner_;
   std::map<WatchId, Watch> watches_;
   WatchId next_watch_ = 1;
   std::uint64_t next_alert_ = 1;

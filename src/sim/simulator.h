@@ -9,8 +9,8 @@
 // The kernel is allocation-light (DESIGN.md §12): events live in a
 // slab pool with a free list, and EventIds pack (generation, slot) so
 // cancel() is an O(1) slot check with no side index. Labels are
-// `const char*` — string literals or pointers interned via
-// util::StringInterner — so scheduling never copies a label.
+// `const char*` string literals naming the event kind, so scheduling
+// never copies a label.
 //
 // Event ordering (DESIGN.md §13) is one binary min-heap of plain
 // (when, sequence, slot) entries: equal times fire in sequence order,
@@ -120,9 +120,11 @@ class Simulator {
   Rng make_rng(std::string_view name) const { return root_rng_.child(name); }
 
   /// Schedules `cb` at absolute time `t` (clamped to now). Returns an
-  /// id usable with cancel(). `label` must outlive the event — pass a
-  /// string literal, or intern runtime-built labels through
-  /// util::StringInterner; the kernel stores only the pointer.
+  /// id usable with cancel(). `label` names the event kind and must
+  /// outlive the event; the kernel stores only the pointer. Pass a
+  /// string literal (simba-lint's [label] rule enforces this in src/);
+  /// the bus's per-message-type label, interned through
+  /// util::StringInterner, is the one waived exception.
   EventId at(TimePoint t, Callback cb, const char* label = "");
 
   /// Schedules `cb` after `delay` (clamped to zero).

@@ -179,7 +179,7 @@ void SssServer::arm_timeout(const std::string& name) {
       [this, name, armed_version, armed_refresh] {
         on_timeout_deadline(name, armed_version, armed_refresh);
       },
-      label_interner_.intern("sss.timeout." + name));
+      "sss.timeout");
 }
 
 void SssServer::on_timeout_deadline(const std::string& name,

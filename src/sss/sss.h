@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "util/interner.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -117,9 +116,6 @@ class SssServer {
   // std::less<> lets string_view probes avoid a key allocation.
   std::map<std::string, Variable, std::less<>> variables_;
   std::map<std::string, sim::EventId, std::less<>> timeout_events_;
-  /// Owns the per-variable "sss.timeout.<name>" event labels; the
-  /// kernel stores only the pointer, so they must outlive the events.
-  util::StringInterner label_interner_;
   std::vector<Subscription> subscriptions_;
   SubscriptionId next_sub_ = 1;
   SssReplicationGroup* group_ = nullptr;

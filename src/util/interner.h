@@ -1,15 +1,14 @@
-// String interning for event labels and other small, repeated names.
+// String interning for labels built or read at run time.
 //
-// The simulator kernel stores event labels as `const char*` so that
-// scheduling never allocates for the (overwhelmingly common) case of a
-// string-literal label. Call sites that genuinely build a label at
-// runtime — e.g. net::MessageBus's per-message-type delivery label —
-// intern it once and reuse the stable pointer forever after.
+// The simulator kernel stores event labels as `const char*`, and
+// every component passes a string literal naming the event kind. The
+// one label built at run time is net::MessageBus's per-message-type
+// delivery label, "net.deliver:<type>": the bus interns each once and
+// reuses the stable pointer. The message types bound that set.
 //
-// A StringInterner is deliberately per-instance: every fleet shard
-// owns its own component graph (bus, MAB, endpoints), so
-// per-component interners need no locking and TSan stays quiet. The
-// one process-wide table is Trace::label's (util/trace.cc), behind a
+// The bus's interner is per-instance: every fleet shard owns its own
+// bus, so it needs no locking and TSan stays quiet. The one
+// process-wide table is Trace::label's (util/trace.cc), behind a
 // util::Mutex. It is global because span labels read from a checkpoint
 // image must outlive every trace the span is moved or copied into, as
 // string literals do, so no trace or decoder may own them.

@@ -99,8 +99,7 @@ WishClient::WishClient(sim::Simulator& sim, FloorMap map, RadioModel radio,
 void WishClient::start() {
   stop();
   report_task_ = sim_.every(
-      report_interval_, [this] { report_now(); },
-      (report_label_ = "wish." + user_ + ".report").c_str(),
+      report_interval_, [this] { report_now(); }, "wish.report",
       /*immediate=*/true);
 }
 

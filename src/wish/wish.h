@@ -154,8 +154,6 @@ class WishClient {
   Point position_{};
   bool in_range_ = true;
   sim::TaskHandle report_task_;
-  /// Stable storage for the "wish.<user>.report" event label.
-  std::string report_label_;
   Counters stats_;
 };
 

@@ -49,10 +49,15 @@
 //                 when the level is disabled — use SIMBA_LOG_DEBUG /
 //                 SIMBA_LOG_TRACE (util/log.h), which evaluate the
 //                 message expression only when it will be written.
-//   [label]       every event scheduled on the simulator is labeled:
-//                 a src/ sim.at/after/every (or sim_.) call with fewer
-//                 than three arguments is an error, so per-label event
-//                 counts can attribute every event.
+//   [label]       every event scheduled on the simulator is labeled
+//                 with a literal that names its kind: a src/
+//                 sim.at/after/every call (also through sim_. or the
+//                 sim() accessor) with fewer than three arguments is
+//                 an error, and so is a third argument that is not one
+//                 string literal, unless a "// simba-lint:
+//                 label(<reason>)" waiver covers the call. Per-label
+//                 event counts then attribute every event to one of a
+//                 fixed set of rows.
 //   [counters]    every Counters::bump("...") / ::get("...") literal
 //                 must resolve to an entry in the checked-in registry
 //                 src/util/counter_registry.def (name, owning

@@ -20,8 +20,8 @@ namespace simba::lint {
 enum class Tree { kSrc, kTests, kBench, kExamples, kTools };
 
 /// One waiver comment. `kind` is the word after "simba-lint: "
-/// ("ordered", "bounded"). A waiver left unused at the end of the
-/// file-local rules is a [waiver] error.
+/// ("ordered", "bounded", "label"). A waiver left unused at the end of
+/// the file-local rules is a [waiver] error.
 struct Waiver {
   int line = 0;
   std::string kind;

@@ -213,46 +213,96 @@ bool is_punct(const Token& t, std::string_view text) {
   return t.kind == Token::Kind::kPunct && t.text == text;
 }
 
-// Number of top-level arguments of the call whose '(' is ts[open].
-int count_args(const std::vector<Token>& ts, std::size_t open) {
+// Token index where each top-level argument of the call whose '(' is
+// ts[open] begins, plus one closing entry: argument k spans
+// [starts[k], starts[k + 1] - 1). Empty for a call with no arguments.
+std::vector<std::size_t> arg_starts(const std::vector<Token>& ts,
+                                    std::size_t open) {
+  std::vector<std::size_t> starts{open + 1};
   int depth = 0;
-  int commas = 0;
   for (std::size_t j = open; j < ts.size(); ++j) {
     const Token& t = ts[j];
     if (is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")) {
       ++depth;
     } else if (is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}")) {
-      if (--depth == 0) return j == open + 1 ? 0 : commas + 1;
+      if (--depth == 0) {
+        if (j == open + 1) return {};
+        starts.push_back(j + 1);
+        return starts;
+      }
     } else if (depth == 1 && is_punct(t, ",")) {
-      ++commas;
+      starts.push_back(j + 1);
     }
   }
-  return commas + 1;  // unterminated call: count what is there
+  starts.push_back(ts.size() + 1);  // unterminated call: what is there
+  return starts;
 }
 
-// [label] — every event scheduled on the simulator carries a label,
-// so per-label event counts can attribute it: a sim.at/after/every
-// (or sim_.) call needs its third, label argument.
+// A waiver of `kind` on the same or the previous line suppresses a
+// diagnostic on `line_no` and is marked used.
+bool waived(FileAnalysis& fa, int line_no, std::string_view kind) {
+  bool found = false;
+  for (Waiver& w : fa.waivers) {
+    if (w.kind == kind && (w.line == line_no || w.line == line_no - 1)) {
+      w.used = true;
+      found = true;
+    }
+  }
+  return found;
+}
+
+// [label] — every event scheduled on the simulator carries a label
+// that names its kind, so per-label event counts attribute it to one
+// of a fixed set of rows: a sim.at/after/every call (also through
+// sim_ or the sim() accessor) needs a third argument, and that
+// argument is one string literal unless a 'label(<reason>)' waiver
+// covers the call.
 void check_schedule_labels(FileAnalysis& fa) {
   const std::vector<Token>& ts = fa.lex.tokens;
-  for (std::size_t i = 0; i + 3 < ts.size(); ++i) {
-    const bool on_sim = ts[i].kind == Token::Kind::kIdent &&
-                        (ts[i].text == "sim" || ts[i].text == "sim_");
-    if (!on_sim || !is_punct(ts[i + 1], ".") ||
-        ts[i + 2].kind != Token::Kind::kIdent || !is_punct(ts[i + 3], "(")) {
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (ts[i].kind != Token::Kind::kIdent ||
+        (ts[i].text != "sim" && ts[i].text != "sim_")) {
       continue;
     }
-    bool schedules = false;
-    for (const std::string_view call : kScheduleCalls) {
-      schedules = schedules || ts[i + 2].text == call;
+    // `sim()` is the components' accessor for their simulator.
+    std::string receiver = ts[i].text;
+    std::size_t dot = i + 1;
+    if (dot + 1 < ts.size() && is_punct(ts[dot], "(") &&
+        is_punct(ts[dot + 1], ")")) {
+      receiver += "()";
+      dot += 2;
     }
-    if (!schedules || count_args(ts, i + 3) >= 3) continue;
+    if (dot + 2 >= ts.size() || !is_punct(ts[dot], ".") ||
+        ts[dot + 1].kind != Token::Kind::kIdent ||
+        !is_punct(ts[dot + 2], "(")) {
+      continue;
+    }
+    const Token& call = ts[dot + 1];
+    bool schedules = false;
+    for (const std::string_view name : kScheduleCalls) {
+      schedules = schedules || call.text == name;
+    }
+    if (!schedules) continue;
+    const std::string where = "'" + receiver + "." + call.text + "('";
+    const std::vector<std::size_t> starts = arg_starts(ts, dot + 2);
+    if (starts.size() < 4) {
+      fa.diags.push_back(Diagnostic{
+          fa.rel_path, call.line, "label",
+          where + " schedules an unlabeled event; pass a string-literal "
+                  "label as the third argument so per-label event counts "
+                  "can attribute it",
+          Severity::kError});
+      continue;
+    }
+    const bool literal = starts[3] - starts[2] == 2 &&
+                         ts[starts[2]].kind == Token::Kind::kString;
+    if (literal || waived(fa, call.line, "label")) continue;
     fa.diags.push_back(Diagnostic{
-        fa.rel_path, ts[i + 2].line, "label",
-        "'" + ts[i].text + "." + ts[i + 2].text +
-            "(' schedules an unlabeled event; pass a string-literal (or "
-            "interned) label as the third argument so per-label event "
-            "counts can attribute it",
+        fa.rel_path, call.line, "label",
+        where + " passes a label that is not a string literal; pass "
+                "one literal that names the event kind, so per-label "
+                "event counts stay a fixed set of rows, or waive it with "
+                "'// simba-lint: label(<reason>)'",
         Severity::kError});
   }
 }
@@ -314,19 +364,6 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
          "directory 'src/" + fa.module +
              "' is not registered in the layering DAG (tools/simba_lint)");
   }
-
-  // Waiver lookup: a waiver of `kind` on the same or the previous
-  // line suppresses a diagnostic and is marked used.
-  auto waived = [&](int line_no, std::string_view kind) {
-    bool found = false;
-    for (Waiver& w : fa.waivers) {
-      if (w.kind == kind && (w.line == line_no || w.line == line_no - 1)) {
-        w.used = true;
-        found = true;
-      }
-    }
-    return found;
-  };
 
   for (std::size_t index = 0; index < fa.lex.lines.size(); ++index) {
     const LexedLine& line = fa.lex.lines[index];
@@ -392,7 +429,7 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
                                  contains_token(tokens, "unordered_multiset");
       // Usage, not the <unordered_map> include line itself.
       if (unordered_use && !is_include_line &&
-          !waived(line_no, "ordered")) {
+          !waived(fa, line_no, "ordered")) {
         emit(line_no, "determinism",
              "std::unordered_{map,set} use needs a '// simba-lint: "
              "ordered' waiver (same or previous line) asserting its "
@@ -421,7 +458,7 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
     if (bounded_applies) {
       const bool queue_use = contains_token(tokens, "std::deque") ||
                              contains_token(tokens, "std::queue");
-      if (queue_use && !is_include_line && !waived(line_no, "bounded")) {
+      if (queue_use && !is_include_line && !waived(fa, line_no, "bounded")) {
         emit(line_no, "bounded",
              "std::deque/std::queue on the alert path needs a "
              "'// simba-lint: bounded(<bound, shed path>)' waiver (same "
@@ -436,7 +473,7 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
     // whose sorted iteration is load-bearing (wire framing, config
     // dumps, report order) — everything else converts.
     if (flatmap_applies && !is_include_line && string_keyed_map(tokens) &&
-        !waived(line_no, "ordered")) {
+        !waived(fa, line_no, "ordered")) {
       emit(line_no, "flatmap",
            "string-keyed std::map in a hot directory; use util::FlatMap "
            "(util/flat_map.h, transparent string_view hashing) with "
@@ -494,11 +531,11 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
   // outlived its reason (or never had one) and must go, so stale
   // waivers can't quietly disable future diagnostics.
   for (const Waiver& w : fa.waivers) {
-    if (w.kind != "ordered" && w.kind != "bounded") {
+    if (w.kind != "ordered" && w.kind != "bounded" && w.kind != "label") {
       fa.diags.push_back(Diagnostic{
           fa.rel_path, w.line, "waiver",
           "unknown waiver kind '" + w.kind +
-              "' (recognised: 'ordered', 'bounded(...)')",
+              "' (recognised: 'ordered', 'bounded(...)', 'label(...)')",
           Severity::kError});
     } else if (!w.used) {
       fa.diags.push_back(Diagnostic{

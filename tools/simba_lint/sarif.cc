@@ -27,7 +27,8 @@ const std::map<std::string, std::string>& rule_descriptions() {
       {"bounded", "Queues on the alert path must name their bound"},
       {"trace", "Trace spans carry virtual time only"},
       {"alloc", "Debug/trace log messages must be built lazily"},
-      {"label", "Events scheduled on the simulator must be labeled"},
+      {"label", "Events scheduled on the simulator must carry a literal "
+                "label"},
       {"counters", "Counter names must resolve against "
                    "src/util/counter_registry.def"},
       {"waiver", "Waivers must still suppress a diagnostic"},
