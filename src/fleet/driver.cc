@@ -14,7 +14,6 @@
 #include "core/alert.h"
 #include "fleet/checkpoint.h"
 #include "fleet/resume.h"
-#include "util/arena.h"
 #include "util/flat_map.h"
 
 namespace simba::fleet {
@@ -77,6 +76,11 @@ Duration horizon_of(const ResumableOptions& o) {
 bool mails(const ResumableOptions& o) {
   const auto* portal = std::get_if<PortalWorkloadOptions>(&o.workload);
   return portal != nullptr && portal->traffic == Traffic::kPortalEmail;
+}
+
+/// The id of the shard's plan arrival `number`: "s<shard>-<number>".
+std::string alert_id(std::size_t shard, std::uint64_t number) {
+  return "s" + std::to_string(shard) + "-" + std::to_string(number);
 }
 
 TimePoint epoch_boundary(const ResumableOptions& o, int i) {
@@ -152,14 +156,15 @@ void build_plan(UserWorld& world, const ResumableOptions& o, ShardDriver& d) {
 }
 
 /// Schedules every not-yet-scheduled arrival with t < window_end into
-/// this epoch's kernel. Alert ids live in the shard bump arena; chaos
-/// and storm alerts feed the checker on submit and on the source's
-/// done callback, source-IM portal alerts keep their acks.
+/// this epoch's kernel. Chaos and storm alerts feed the checker on
+/// submit and on the source's done callback, source-IM portal alerts
+/// keep their acks.
 void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
                        const ShardTask& task, ShardDriver& d,
                        TimePoint window_end) {
   const bool as_mail = mails(o);
   const bool portal = kind_of(o) == ResumeKind::kPortal;
+  const std::size_t shard = task.shard_id;
   while (d.cursor < d.plan.size() && d.plan[d.cursor].t < window_end) {
     const Arrival arrival = d.plan[d.cursor];
     const std::uint64_t number = d.cursor++;
@@ -173,12 +178,7 @@ void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
       }, "fleet.mail_arrival");
       continue;
     }
-    char shard_buf[20];
-    char number_buf[20];
-    const std::string_view id = world.id_arena.concat(
-        {"s", util::format_u64(task.shard_id, shard_buf), "-",
-         util::format_u64(number, number_buf)});
-    world.sim.at(arrival.t, [&world, &d, id, number, portal] {
+    world.sim.at(arrival.t, [&world, &d, shard, number, portal] {
       const StreamInfo info = stream_info(d.plan[number].stream);
       core::Alert alert;
       // std::string rvalues: sidestep a GCC 12 -Werror=restrict false
@@ -187,26 +187,26 @@ void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
       alert.native_category = std::string(info.native);
       alert.subject = std::string(info.subject_prefix) + std::to_string(number);
       alert.high_importance = info.critical;
-      alert.id = std::string(id);
+      alert.id = alert_id(shard, number);
       alert.created_at = world.sim.now();
       if (!portal) d.checker.on_submitted(alert.id, world.sim.now());
       world.source->send_alert(
-          alert, [&world, &d, id, portal](const core::DeliveryOutcome& outcome) {
-            const std::string id_str(id);
+          alert, [&world, &d, id = alert.id,
+                  portal](const core::DeliveryOutcome& outcome) {
             if (portal) {
               if (outcome.delivered) {
-                d.acked.emplace(id_str,
+                d.acked.emplace(id,
                                 Ack{outcome.completed_at, outcome.block_used});
               }
             } else if (outcome.delivered) {
               // Probe the pessimistic log at the instant the source
               // learns of success: log-before-ack demands the record
               // is already on disk for a primary-leg (block 0) ack.
-              d.checker.on_acked(id_str, outcome.block_used,
-                                 world.host->alert_log().contains(id_str),
+              d.checker.on_acked(id, outcome.block_used,
+                                 world.host->alert_log().contains(id),
                                  outcome.completed_at);
             } else {
-              d.checker.on_failed(id_str, outcome.completed_at);
+              d.checker.on_failed(id, outcome.completed_at);
             }
           });
     }, "fleet.alert_arrival");
@@ -240,8 +240,7 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
     sent_at = std::move(d.sent_at);
   } else {
     for (std::size_t n = 0; n < d.plan.size(); ++n) {
-      std::string id =
-          "s" + std::to_string(task.shard_id) + "-" + std::to_string(n);
+      std::string id = alert_id(task.shard_id, n);
       if (d.plan[n].stream == kStreamCritical) critical_ids.insert(id);
       sent_at.emplace(std::move(id), d.plan[n].t);
     }
@@ -422,10 +421,6 @@ ShardResult run_shard_epochs(const ResumableOptions& o, const ShardTask& task,
     const TimePoint boundary = last ? end : epoch_boundary(o, epoch + 1);
     schedule_arrivals(world, o, task, d, boundary);
     world.sim.run_until(last ? end + drain : boundary);
-
-    // Epoch boundary: every closure holding an arena view has fired
-    // (or dies with this world); rewind the id scratch in O(1).
-    world.id_arena.reset();
 
     if (last) return score_shard(world, o, task, d);
 

@@ -19,7 +19,6 @@
 #include "sim/invariants.h"
 #include "sim/simulator.h"
 #include "sms/sms.h"
-#include "util/arena.h"
 #include "util/trace.h"
 
 namespace simba::fleet {
@@ -99,13 +98,6 @@ struct UserWorld {
   /// Lifecycle trace; stays empty unless options.trace. Declared
   /// before the components that emit into it so it outlives them all.
   util::Trace trace;
-  /// Per-shard scratch arena (DESIGN.md §13) for per-alert id strings
-  /// the workloads build by the thousand. Views stay valid for the
-  /// shard's epoch; the workload resets the arena only at the epoch
-  /// boundary (after the drain), when every closure that captured a
-  /// view has fired. Declared before the bus and components so it
-  /// outlives anything that could hold a view.
-  util::BumpArena id_arena;
   net::MessageBus bus;
   im::ImServer im_server;
   email::EmailServer email_server;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/arena.h"
 #include "util/calendar.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -387,73 +386,6 @@ TEST(CalendarTest, SinceMidnight) {
   EXPECT_EQ(since_midnight(kTimeZero + days(2) + hours(3) + minutes(4)),
             hours(3) + minutes(4));
   EXPECT_EQ(since_midnight(kTimeZero), Duration::zero());
-}
-
-// ---------------------------------------------------------------------------
-// arena
-// ---------------------------------------------------------------------------
-
-TEST(ArenaTest, CopyAndConcatProduceStableViews) {
-  util::BumpArena arena(64);
-  const std::string_view a = arena.copy("hello");
-  char buf[20];
-  const std::string_view id =
-      arena.concat({"s", util::format_u64(7, buf), "-", "12345"});
-  EXPECT_EQ(a, "hello");
-  EXPECT_EQ(id, "s7-12345");
-  // Views are contiguous arena bytes, not aliases of the inputs.
-  EXPECT_NE(a.data(), static_cast<const char*>("hello"));
-  EXPECT_EQ(arena.bytes_used(), a.size() + id.size());
-}
-
-TEST(ArenaTest, GrowsAcrossChunksAndOversizedAllocations) {
-  util::BumpArena arena(64);
-  std::vector<std::string_view> views;
-  std::vector<std::string> expected;
-  for (int i = 0; i < 100; ++i) {
-    std::string s(static_cast<std::size_t>(1 + i % 17), 'a' + i % 26);
-    views.push_back(arena.copy(s));
-    expected.push_back(std::move(s));
-  }
-  // An allocation larger than the chunk size gets its own chunk.
-  const std::string big(1000, 'z');
-  views.push_back(arena.copy(big));
-  expected.push_back(big);
-  // Earlier views survive all later growth.
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i], expected[i]) << i;
-  }
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
-
-TEST(ArenaTest, ResetRewindsWithoutReleasingChunks) {
-  util::BumpArena arena(64);
-  for (int i = 0; i < 50; ++i) arena.copy("0123456789");
-  const std::size_t reserved = arena.bytes_reserved();
-  ASSERT_GT(reserved, 0u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);  // chunks retained
-  // The next epoch reuses the same storage: reserving nothing new for
-  // an identical workload.
-  for (int i = 0; i < 50; ++i) arena.copy("0123456789");
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, FormatU64) {
-  char buf[20];
-  EXPECT_EQ(util::format_u64(0, buf), "0");
-  EXPECT_EQ(util::format_u64(9, buf), "9");
-  EXPECT_EQ(util::format_u64(1234567890123456789ull, buf),
-            "1234567890123456789");
-  EXPECT_EQ(util::format_u64(~0ull, buf), "18446744073709551615");
-}
-
-TEST(ArenaTest, EmptyInputsAreSafe) {
-  util::BumpArena arena;
-  EXPECT_EQ(arena.copy(""), "");
-  EXPECT_EQ(arena.concat({}), "");
-  EXPECT_EQ(arena.concat({"", "x", ""}), "x");
 }
 
 }  // namespace
