@@ -1,8 +1,17 @@
 #include "core/mab_host.h"
 
+#include "util/calendar.h"
 #include "util/log.h"
 
 namespace simba::core {
+namespace {
+
+// Nightly rejuvenation (Section 4.2.1: "every night at 11:30PM") and
+// the time a machine takes to boot after an outage or a reboot.
+const TimeOfDay kRejuvenationTime = TimeOfDay::at(23, 30);
+constexpr Duration kBootTime = minutes(2);
+
+}  // namespace
 
 MabHost::MabHost(sim::Simulator& sim, net::MessageBus& bus,
                  im::ImServer& im_server, email::EmailServer& email_server,
@@ -30,13 +39,13 @@ MabHost::MabHost(sim::Simulator& sim, net::MessageBus& bus,
       options_.im_client_profile, options_.im_client_config);
   email_client_ = std::make_unique<email::EmailClientApp>(
       sim_, desktop_, email_server_, options_.email_address,
-      options_.email_client_profile, options_.email_client_config);
+      options_.email_client_profile, email::EmailClientConfig{});
   im_manager_ =
       std::make_unique<automation::ImManager>(sim_, desktop_, *im_client_);
   email_manager_ = std::make_unique<automation::EmailManager>(sim_, desktop_,
                                                               *email_client_);
   mdc_ = std::make_unique<MasterDaemonController>(
-      sim_, options_.mdc_options,
+      sim_, MasterDaemonController::Options{},
       /*probe=*/[this] { return mab_ != nullptr && mab_->are_you_working(); },
       /*restart=*/[this] { restart_mab(); },
       /*reboot=*/[this] { reboot_machine(); });
@@ -131,15 +140,14 @@ void MabHost::reboot_machine() {
   stats_.bump("reboots");
   log_warn("host." + options_.owner, "rebooting machine");
   power_down();
-  sim_.after(options_.boot_time, [this] { power_up(); }, "host.reboot");
+  sim_.after(kBootTime, [this] { power_up(); }, "host.reboot");
 }
 
 void MabHost::schedule_nightly() {
   if (nightly_event_ != 0) sim_.cancel(nightly_event_);
-  const TimePoint next =
-      next_occurrence(sim_.now(), options_.rejuvenation_time);
-  nightly_event_ = sim_.at(
-      next, [this] { nightly_rejuvenation(); }, "host.nightly_rejuvenation");
+  nightly_event_ = sim_.at(next_occurrence(sim_.now(), kRejuvenationTime),
+                           [this] { nightly_rejuvenation(); },
+                           "host.nightly_rejuvenation");
 }
 
 void MabHost::nightly_rejuvenation() {
@@ -209,7 +217,7 @@ void MabHost::power_down() {
 
 void MabHost::power_up() {
   if (machine_up_) return;
-  sim_.after(options_.boot_time, [this] {
+  sim_.after(kBootTime, [this] {
     if (machine_up_) return;
     boot();
   }, "host.boot");

@@ -26,7 +26,6 @@
 #include "net/bus.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
-#include "util/calendar.h"
 
 namespace simba::core {
 
@@ -39,24 +38,21 @@ struct MabHostOptions {
 
   MabConfig config;
   MabOptions mab_options;
-  MasterDaemonController::Options mdc_options;
 
   gui::FaultProfile im_client_profile;
   im::ImClientConfig im_client_config;
   gui::FaultProfile email_client_profile;
-  email::EmailClientConfig email_client_config;
 
   /// Nightly rejuvenation (kind 2): "Every night at 11:30PM,
   /// MyAlertBuddy requests an orderly shutdown of all the communication
   /// client software and terminates itself."
   bool nightly_rejuvenation = true;
-  TimeOfDay rejuvenation_time = TimeOfDay::at(23, 30);
 
   /// Power model. With a UPS, outages (up to any length, for
-  /// simplicity) are ridden through.
+  /// simplicity) are ridden through. A boot, after an outage or a
+  /// reboot, takes two minutes.
   sim::OutagePlan power_plan;
   bool has_ups = false;
-  Duration boot_time = minutes(2);
 
   /// Chaos crash-window model (sim/chaos.h): probability that an
   /// alert-log append still inside its synchronous-write window is

@@ -34,7 +34,7 @@ void MasterDaemonController::stop() {
 void MasterDaemonController::heartbeat() {
   if (pending_restart_ != 0) return;  // restart already in flight
   stats_.bump("heartbeats");
-  // The real MDC signals an event and waits response_timeout for the
+  // The real MDC signals an event and waits a bounded time for the
   // reply event; in virtual time the probe answers immediately, so a
   // false reply stands in for the timeout having elapsed.
   if (probe_ && probe_()) {

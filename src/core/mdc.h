@@ -21,10 +21,8 @@ class MasterDaemonController {
  public:
   struct Options {
     Duration check_interval = minutes(3);  // paper: every three minutes
-    Duration response_timeout = seconds(30);
     Duration restart_delay = seconds(10);  // process spawn + init
     int max_failed_restarts = 3;
-    Duration reboot_time = minutes(3);
   };
 
   /// `probe` is the AreYouWorking() call into the current MAB
