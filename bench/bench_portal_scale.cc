@@ -54,9 +54,11 @@ int main(int argc, char** argv) {
   workload.world.fidelity = fleet::ModelFidelity::kCalibrated;
   workload.world.email_check_interval = minutes(60);
   // Lifecycle tracing feeds the per-stage latency section below and
-  // the optional --trace-jsonl dump. Traces consume no randomness, so
-  // the correctness numbers are unchanged either way.
+  // the optional --trace-jsonl dump, which alone needs the spans.
+  // Traces consume no randomness, so the correctness numbers are
+  // unchanged either way.
   workload.world.trace = true;
+  workload.world.keep_spans = !options.trace_jsonl.empty();
 
   fleet::FleetOptions fleet_options;
   fleet_options.shards = static_cast<std::size_t>(users);

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common.h"
 #include "fleet/resume.h"
@@ -38,6 +39,11 @@ inline int run_resumable_bench(const std::string& bench_name,
   if (cli.users > 0) options.fleet.shards = static_cast<std::size_t>(cli.users);
   options.fleet.threads = cli.threads;
   options.fleet.base_seed = cli.seed;
+  if (!cli.trace_jsonl.empty()) {
+    // The dump reads every span, a one-epoch run included.
+    std::visit([](auto& workload) { workload.world.keep_spans = true; },
+               options.workload);
+  }
 
   fleet::ResumeControl control;
   control.checkpoint_after_epoch = cli.checkpoint_every;

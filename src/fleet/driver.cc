@@ -362,6 +362,10 @@ UserWorldOptions shard_world(const ResumableOptions& o, const ShardTask& task,
       [](const auto& workload) { return workload.world; }, o.workload);
   world.user = "user" + std::to_string(task.shard_id);
   world.fault_horizon = horizon_of(o);
+  // An image carries the trace as its span list, and decode rebuilds
+  // the stage table from it: a world that kept no spans would resume
+  // with only the rows recorded after the cut.
+  if (o.epochs > 1) world.keep_spans = true;
   if (kind_of(o) == ResumeKind::kPortal) {
     world.with_source = !mails(o);
     return world;
@@ -370,8 +374,9 @@ UserWorldOptions shard_world(const ResumableOptions& o, const ShardTask& task,
   world.chaos = kind_of(o) == ResumeKind::kChaos
                     ? std::get<ChaosWorkloadOptions>(o.workload).scenario
                     : std::get<StormWorkloadOptions>(o.workload).scenario;
-  // Always traced: a violated invariant must be able to print the
-  // offending alert's full lifecycle, and traces consume no randomness
+  // Always traced, for the per-stage table; spans, which a violated
+  // invariant needs to print the offending alert's full lifecycle,
+  // only when the workload keeps them. Traces consume no randomness
   // and schedule no events, so the counters are unchanged either way.
   world.trace = true;
   world.shared_invariants = &d.checker;

@@ -54,9 +54,11 @@ struct ShardResult {
   Summary critical_latency;
   std::uint64_t events_processed = 0;
   double wall_seconds = 0.0;
-  /// Lifecycle trace (empty when the workload ran untraced). Virtual
-  /// timestamps only, so it participates in determinism checks. Empty
-  /// once run_fleet has moved it into the merged FleetReport::trace.
+  /// Lifecycle trace (empty when the workload ran untraced): the
+  /// per-stage table, plus the spans when the world kept them
+  /// (UserWorldOptions::keep_spans). Virtual timestamps only, so it
+  /// participates in determinism checks. Empty once run_fleet has
+  /// moved it into the merged FleetReport::trace.
   util::Trace trace;
   /// Human-readable invariant-violation report, including each
   /// violating alert's full trace (empty when the contract held).
@@ -77,8 +79,9 @@ struct FleetReport {
   std::uint64_t events_processed = 0;
   Summary shard_wall_seconds;  // timing-only, excluded from correctness
   double wall_seconds = 0.0;   // whole-fleet wall clock
-  /// Every shard's spans, moved here in shard order — bit-identical
-  /// for any thread count, like every other merged statistic here.
+  /// Every shard's stage table merged and its kept spans moved here,
+  /// in shard order — bit-identical for any thread count, like every
+  /// other merged statistic here.
   util::Trace trace;
   std::vector<ShardResult> per_shard;
 

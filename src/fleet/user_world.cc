@@ -127,6 +127,7 @@ void apply_channel_models(net::MessageBus& bus,
 
 UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     : sim(seed),
+      trace(options.keep_spans),
       bus(sim),
       im_server(sim, bus),
       email_server(sim),
@@ -142,9 +143,11 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     bus.restore_stats(options.resume->bus_stats);
   }
   if (options.trace) {
-    // Continue the pre-checkpoint span history so the full-run trace
-    // is one contiguous, byte-identical stream.
-    if (options.resume != nullptr) trace = std::move(options.resume->trace);
+    // Continue the pre-checkpoint history so the full-run trace is one
+    // contiguous, byte-identical stream.
+    if (options.resume != nullptr) {
+      trace.merge(std::move(options.resume->trace));
+    }
     bus.set_trace(&trace);
   }
   apply_channel_models(bus, email_server, sms_gateway, options.fidelity);

@@ -60,9 +60,16 @@ struct UserWorldOptions {
   /// through shared_invariants instead.
   bool track_invariants = false;
   /// Arms lifecycle tracing into UserWorld::trace in the bus, the
-  /// alert log, and every MAB incarnation. Off by default: the portal
-  /// scale bench opts in, chaos and storm runs trace always.
+  /// alert log, and every MAB incarnation: its per-stage table, plus
+  /// every span when keep_spans is set. Off by default: the portal
+  /// scale bench opts in, chaos and storm runs always fill the table.
   bool trace = false;
+  /// Keeps each span of a traced world, not just the per-stage table.
+  /// Only readers of single spans set it: JSONL dumps, golden traces,
+  /// violation reports that list an alert's lifecycle. Multi-epoch
+  /// driver runs set it too, because a checkpoint image carries the
+  /// trace as its span list (fleet/driver.cc).
+  bool keep_spans = false;
   /// Overload defenses (DESIGN.md §14): token-bucket admission,
   /// semantic coalescing, priority lanes, bounded queues. The all-zero
   /// default disables every defense, leaving pre-storm worlds (and
@@ -95,8 +102,9 @@ struct UserWorld {
   UserWorld(std::uint64_t seed, const UserWorldOptions& options);
 
   sim::Simulator sim;
-  /// Lifecycle trace; stays empty unless options.trace. Declared
-  /// before the components that emit into it so it outlives them all.
+  /// Lifecycle trace; stays empty unless options.trace, and keeps
+  /// spans only with options.keep_spans. Declared before the
+  /// components that emit into it so it outlives them all.
   util::Trace trace;
   net::MessageBus bus;
   im::ImServer im_server;

@@ -43,9 +43,10 @@ struct WorldState {
   Counters bus_stats;
 
   // --- Accumulated trace -----------------------------------------------------
-  /// Every span emitted before the boundary, in emission order; empty
-  /// when the world ran untraced. Held here between two worlds: the
-  /// next epoch's world takes it over.
+  /// The trace recorded before the boundary: its stage table, and
+  /// every span in emission order (multi-epoch worlds keep spans; an
+  /// image carries them). Empty when the world ran untraced. Held here
+  /// between two worlds: the next epoch's world takes it over.
   util::Trace trace;
 };
 

@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -68,8 +69,26 @@ void Trace::emit(std::string alert_id, const char* component,
 void Trace::emit(std::string alert_id, const char* component,
                  const char* stage, TimePoint start, TimePoint end,
                  std::string detail) {
+  row(component, stage).add(end - start);
+  if (!keep_spans_) return;
   spans_.push_back(Span{std::move(alert_id), component, stage, start, end,
                         std::move(detail)});
+}
+
+std::uint64_t Trace::LabelsHash::operator()(const Labels& labels) const {
+  // Addresses, not text: the index only short-cuts the lookup, so
+  // nothing ordered depends on where a label lives.
+  return mix64(mix64(reinterpret_cast<std::uintptr_t>(labels.first)) ^
+               reinterpret_cast<std::uintptr_t>(labels.second));
+}
+
+Summary& Trace::row(const char* component, const char* stage) {
+  const Labels labels{component, stage};
+  const auto hit = row_of_.find(labels);
+  if (hit != row_of_.end()) return rows_.begin()[hit->second].second;
+  const auto slot = rows_.try_emplace(std::string(component) + "." + stage);
+  row_of_.emplace(labels, static_cast<std::size_t>(slot.first - rows_.begin()));
+  return slot.first->second;
 }
 
 const char* Trace::label(std::string_view text) {
@@ -80,13 +99,23 @@ const char* Trace::label(std::string_view text) {
 }
 
 void Trace::merge(Trace&& other) {
-  if (spans_.empty()) {
+  if (keep_spans_ && spans_.empty()) {
     spans_ = std::move(other.spans_);
-  } else {
+  } else if (keep_spans_) {
     spans_.insert(spans_.end(), std::make_move_iterator(other.spans_.begin()),
                   std::make_move_iterator(other.spans_.end()));
   }
   other.spans_ = std::vector<Span>();
+  if (rows_.empty()) {
+    rows_ = std::move(other.rows_);
+    row_of_ = std::move(other.row_of_);
+  } else {
+    for (const auto& [stage, latency] : other.rows_) {
+      rows_[stage].merge(latency);
+    }
+  }
+  other.rows_ = {};
+  other.row_of_ = {};
 }
 
 std::vector<Span> Trace::sorted_spans() const {
@@ -111,12 +140,7 @@ std::string Trace::to_jsonl() const {
 
 // simba-lint: ordered (report-time only; printed in sorted order)
 std::map<std::string, Summary> Trace::stage_latency() const {
-  // simba-lint: ordered
-  std::map<std::string, Summary> stages;
-  for (const Span& s : spans_) {
-    stages[std::string(s.component) + "." + s.stage].add(s.duration());
-  }
-  return stages;
+  return {rows_.begin(), rows_.end()};
 }
 
 std::string Trace::stage_report() const {
@@ -128,6 +152,9 @@ std::string Trace::stage_report() const {
 }
 
 std::string Trace::describe(const std::string& alert_id) const {
+  if (!keep_spans_) {
+    return "  (spans not kept; set UserWorldOptions::keep_spans)\n";
+  }
   std::vector<Span> mine;
   for (const Span& s : spans_) {
     if (s.alert_id == alert_id) mine.push_back(s);

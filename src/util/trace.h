@@ -1,14 +1,22 @@
 // Deterministic alert-lifecycle tracing.
 //
-// A Trace is an append-only list of Spans, each stamped with virtual
-// time only (the simulator clock) so that a fixed seed and scenario
-// produce a byte-identical trace on every run, on every platform, at
-// every fleet thread count. Components hold a `Trace*` (null means
-// tracing is off) and emit spans at the interesting points of an
-// alert's lifecycle: bus send/deliver and chaos injections, log
-// append/ack/recovery, MAB classify → aggregate → filter → route, and
-// delivery-engine block/action attempts with fallback and skip
-// reasons.
+// A Trace records Spans, each stamped with virtual time only (the
+// simulator clock) so that a fixed seed and scenario produce a
+// byte-identical trace on every run, on every platform, at every fleet
+// thread count. Components hold a `Trace*` (null means tracing is off)
+// and emit spans at the interesting points of an alert's lifecycle:
+// bus send/deliver and chaos injections, log append/ack/recovery, MAB
+// classify → aggregate → filter → route, and delivery-engine
+// block/action attempts with fallback and skip reasons.
+//
+// Every emit() adds the span's duration to one per-stage row
+// ("component.stage" → Summary), which is all that stage_latency()
+// and the per-stage reports read. A trace that keeps spans (the
+// default) also stores the span itself, for the readers of single
+// alerts: JSONL export, golden traces, violation reports and
+// checkpoint images. A traced fleet world keeps spans only when
+// fleet::UserWorldOptions::keep_spans asks for them, so leaving
+// tracing on costs a few dozen rows rather than one Span per event.
 //
 // Like Counters/Summary, traces merge: fleet shards each record their
 // own Trace and run_fleet moves them together in shard order, so the
@@ -18,11 +26,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "util/flat_map.h"
 #include "util/stats.h"
 #include "util/time.h"
 
@@ -48,6 +60,12 @@ struct Span {
 
 class Trace {
  public:
+  /// A trace that keeps every span. Allocates nothing until the first
+  /// emit().
+  Trace() = default;
+  /// keep_spans = false: emit() fills only the per-stage table.
+  explicit Trace(bool keep_spans) : keep_spans_(keep_spans) {}
+
   /// Instant event at `at`.
   void emit(std::string alert_id, const char* component, const char* stage,
             TimePoint at, std::string detail = {});
@@ -60,14 +78,20 @@ class Trace {
   /// as long as a string literal would.
   static const char* label(std::string_view text);
 
+  /// The kept spans in emission order; none unless the trace keeps
+  /// spans.
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
-  bool empty() const { return spans_.empty(); }
+  /// Nothing emitted or merged in: no spans and no stage rows.
+  bool empty() const { return spans_.empty() && rows_.empty(); }
 
-  /// Moves `other`'s spans onto the end of this trace; `other` ends
-  /// empty with its storage released. Merging shard traces in shard
-  /// order yields the same span sequence for any thread count, exactly
-  /// like Counters::merge / Summary::merge.
+  /// Folds `other` in after this trace's own history: each of its
+  /// stage rows is replayed onto this trace's row of the same text
+  /// (Summary::merge), and its spans are appended when this trace
+  /// keeps spans. `other` ends empty with its storage released.
+  /// Merging shard traces in shard order yields the same table and
+  /// span sequence for any thread count, exactly like Counters::merge
+  /// / Summary::merge.
   void merge(Trace&& other);
 
   /// Spans in canonical order: (start, alert_id, component, stage,
@@ -83,7 +107,10 @@ class Trace {
   std::string to_jsonl() const;
 
   /// Per-stage latency distributions keyed "component.stage", over
-  /// span durations in seconds (instant spans contribute 0).
+  /// span durations in seconds (instant spans contribute 0): a copy of
+  /// the table emit() fills, one row per text however many label
+  /// pointers carry it. Exact whether or not spans were kept — the
+  /// same samples in the same order as a walk over every emitted span.
   // simba-lint: ordered (report-time; callers print stages sorted)
   std::map<std::string, Summary> stage_latency() const;
 
@@ -93,11 +120,32 @@ class Trace {
 
   /// Multi-line lifecycle listing of one alert's spans in canonical
   /// order, for invariant-failure reports:
-  /// "  [d+hh:mm:ss.mmm +dur] comp.stage detail".
+  /// "  [d+hh:mm:ss.mmm +dur] comp.stage detail". A trace that keeps
+  /// no spans says so instead.
   std::string describe(const std::string& alert_id) const;
 
  private:
+  /// The (component, stage) label pointers of one emit site.
+  using Labels = std::pair<const char*, const char*>;
+  struct LabelsHash {
+    std::uint64_t operator()(const Labels& labels) const;
+  };
+
+  /// The row of (component, stage), created on first use.
+  Summary& row(const char* component, const char* stage);
+
+  bool keep_spans_ = true;
   std::vector<Span> spans_;
+  /// The per-stage table, keyed "component.stage", rows in first-use
+  /// order (stage_latency() sorts). Never handed out by reference:
+  /// Summary::percentile sorts its samples in place, and merge() must
+  /// replay them in emission order.
+  FlatMap<std::string, Summary> rows_;
+  /// Label pointers → slot in rows_, so emit() hashes no text. Equal
+  /// text behind different pointers (literals from two translation
+  /// units, Trace::label copies) shares a row through the text lookup
+  /// on a miss.
+  FlatMap<Labels, std::size_t, LabelsHash, std::equal_to<>> row_of_;
 };
 
 }  // namespace simba::util

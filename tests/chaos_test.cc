@@ -26,6 +26,9 @@ constexpr std::uint64_t kSeeds[] = {101, 202, 303, 404};
 ChaosWorkloadOptions workload_for(const sim::ChaosScenario& scenario) {
   ChaosWorkloadOptions options;
   options.world = testing::fast_fleet_world();
+  // Spans: the duplicate-span regression reads them, and a violation
+  // report lists the offending alert's lifecycle from them.
+  options.world.keep_spans = true;
   options.scenario = scenario;
   return options;
 }
@@ -282,6 +285,26 @@ TEST(ChaosTraceTest, ViolationReportEmbedsAlertTrace) {
   EXPECT_NE(details.find("trace for a-1"), std::string::npos) << details;
   EXPECT_NE(details.find("mab.receive"), std::string::npos) << details;
   EXPECT_NE(details.find("mab.ack_send"), std::string::npos) << details;
+}
+
+TEST(ChaosTraceTest, ViolationReportSaysWhenSpansWereNotKept) {
+  // A world traced without keep_spans has only the stage table: the
+  // report must not claim the alert left no spans.
+  sim::InvariantChecker checker;
+  checker.on_submitted("a-1", kTimeZero);
+  checker.on_acked("a-1", /*block=*/0, /*logged=*/false,
+                   kTimeZero + seconds(1));
+
+  util::Trace trace(/*keep_spans=*/false);
+  trace.emit("a-1", "mab", "receive", kTimeZero, "im from src");
+
+  const std::string details = checker.check().describe(&trace);
+  EXPECT_NE(details.find("trace for a-1"), std::string::npos) << details;
+  EXPECT_NE(details.find("(spans not kept; set UserWorldOptions::keep_spans)"),
+            std::string::npos)
+      << details;
+  EXPECT_EQ(details.find("no spans recorded"), std::string::npos) << details;
+  EXPECT_EQ(details.find("mab.receive"), std::string::npos) << details;
 }
 
 TEST(ChaosPlanTest, SameInputsSamePlan) {

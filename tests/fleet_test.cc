@@ -24,10 +24,11 @@ PortalWorkloadOptions fast_workload() {
   workload.alerts_per_user_day = 48.0;  // dense enough for a short run
   workload.horizon = hours(4);
   workload.drain = hours(1);
-  // Traced, so the determinism checks below also cover the lifecycle
-  // trace: its merged JSONL must be as scheduling-independent as every
-  // other merged statistic.
+  // Traced with spans, so the determinism checks below also cover the
+  // lifecycle trace: its merged JSONL must be as scheduling-independent
+  // as every other merged statistic.
   workload.world.trace = true;
+  workload.world.keep_spans = true;
   return workload;
 }
 
@@ -136,7 +137,8 @@ TEST(FleetRunnerTest, EmptyFleetProducesEmptyReport) {
 
 TEST(FleetRunnerTest, MergedTraceHoldsEachSpanOnce) {
   // Shard i emits i + 1 spans. The report holds all of them, in shard
-  // order, and no shard result keeps a second copy.
+  // order, and no shard result keeps a second copy of a span or of a
+  // stage row.
   FleetOptions options;
   options.shards = 4;
   options.threads = 2;
@@ -154,10 +156,13 @@ TEST(FleetRunnerTest, MergedTraceHoldsEachSpanOnce) {
   }
   EXPECT_EQ(ids, (std::vector<std::string>{"s0", "s1", "s1", "s2", "s2", "s2",
                                            "s3", "s3", "s3", "s3"}));
+  EXPECT_EQ(report.trace.stage_latency().at("bus.send").count(), 10u);
   ASSERT_EQ(report.per_shard.size(), 4u);
   for (const ShardResult& shard : report.per_shard) {
     EXPECT_TRUE(shard.trace.empty()) << "shard " << shard.shard_id;
     EXPECT_EQ(shard.trace.spans().capacity(), 0u) << "shard " << shard.shard_id;
+    EXPECT_TRUE(shard.trace.stage_latency().empty())
+        << "shard " << shard.shard_id;
   }
 }
 

@@ -356,6 +356,8 @@ TEST(OverloadWorldTest, OpenWindowsFlushWhenTheMabReboots) {
 StormWorkloadOptions small_storm(bool defended) {
   StormWorkloadOptions options;
   options.world = testing::fast_fleet_world();
+  // Spans, so a violation report lists the offending alert's lifecycle.
+  options.world.keep_spans = true;
   options.world.overload = defended ? storm_defenses() : storm_no_defenses();
   options.horizon = hours(2);
   options.drain = hours(1);

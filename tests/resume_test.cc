@@ -62,6 +62,11 @@ void expect_resume_equivalent(const ResumableOptions& options, int k,
       << context << ": resumed run diverged from the uninterrupted one";
   EXPECT_EQ(a.report.trace.to_jsonl(), c.value().report.trace.to_jsonl())
       << context << ": resumed trace diverged";
+  // The resumed rows start from decoded labels, which share rows with
+  // the live literals only through the table's text lookup.
+  EXPECT_EQ(a.report.trace.stage_report(),
+            c.value().report.trace.stage_report())
+      << context << ": resumed stage table diverged";
 }
 
 // --- One tier-1 cell per workload kind -------------------------------------

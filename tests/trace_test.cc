@@ -12,13 +12,17 @@
 //   ./build/tests/trace_test --regen
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -68,6 +72,7 @@ PortalWorkloadOptions golden_workload() {
   workload.traffic = Traffic::kSourceIm;
   workload.world = testing::fast_fleet_world();
   workload.world.trace = true;
+  workload.world.keep_spans = true;
   workload.alerts_per_user_day = 48.0;
   workload.horizon = hours(2);
   workload.drain = minutes(30);
@@ -234,6 +239,125 @@ INSTANTIATE_TEST_SUITE_P(
     EntryPoints, GoldenReportTest,
     ::testing::Range(std::size_t{0}, report_cases().size()),
     [](const auto& info) { return report_cases()[info.param].name; });
+
+// --- The per-stage table -----------------------------------------------------
+// emit() fills Trace's stage table directly; these pin it to the table
+// a walk over every kept span gives.
+
+/// The per-stage table built from the spans, in emission order.
+std::map<std::string, Summary> table_from_spans(const util::Trace& trace) {
+  std::map<std::string, Summary> stages;
+  for (const util::Span& s : trace.spans()) {
+    stages[std::string(s.component) + "." + s.stage].add(s.duration());
+  }
+  return stages;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Same stage keys, and per stage the same samples in the same order
+/// and bit-identical mean, variance, min and max.
+void expect_same_table(const std::map<std::string, Summary>& actual,
+                       const std::map<std::string, Summary>& expected,
+                       const std::string& context) {
+  std::vector<std::string> actual_keys;
+  for (const auto& [stage, summary] : actual) actual_keys.push_back(stage);
+  std::vector<std::string> expected_keys;
+  for (const auto& [stage, summary] : expected) expected_keys.push_back(stage);
+  ASSERT_EQ(actual_keys, expected_keys) << context;
+  for (const auto& [stage, want] : expected) {
+    const Summary& got = actual.at(stage);
+    EXPECT_EQ(got.samples(), want.samples()) << context << ": " << stage;
+    EXPECT_EQ(bits(got.mean()), bits(want.mean())) << context << ": " << stage;
+    EXPECT_EQ(bits(got.variance()), bits(want.variance()))
+        << context << ": " << stage;
+    EXPECT_EQ(bits(got.min()), bits(want.min())) << context << ": " << stage;
+    EXPECT_EQ(bits(got.max()), bits(want.max())) << context << ": " << stage;
+  }
+}
+
+/// Emits one script into two traces, spelling each label both as a
+/// literal and as a Trace::label copy at another address — the
+/// decoded-image case.
+void emit_two_spellings(util::Trace& first, util::Trace& second) {
+  const char* bus = util::Trace::label("bus");
+  const char* send = util::Trace::label("send");
+  const char* log = util::Trace::label("log");
+  const char* append = util::Trace::label("append");
+  const TimePoint t = kTimeZero;
+  first.emit("a-1", "bus", "send", t, t + millis(250));
+  first.emit("a-1", bus, send, t + seconds(1), t + seconds(1) + micros(333));
+  first.emit("a-1", "log", "append", t + seconds(2), t + seconds(2.7));
+  first.emit("a-2", "mab", "receive", t + seconds(3), "im from src");
+  first.emit("a-2", "bus", send, t + seconds(4), t + seconds(4) + millis(7));
+  second.emit("b-1", log, append, t, t + millis(15));
+  second.emit("b-1", bus, send, t + seconds(1), t + seconds(1.1));
+  second.emit("b-1", "bus", "send", t + seconds(2), t + seconds(2) + micros(9));
+  second.emit("b-1", "delivery", "block", t + seconds(3), t + seconds(33.3));
+  second.emit("b-2", "log", "append", t + seconds(4), t + seconds(4.01));
+}
+
+TEST(TraceTableTest, EmissionTableEqualsTheSpanWalk) {
+  const char* literal = "bus";
+  ASSERT_NE(util::Trace::label("bus"), literal);
+
+  util::Trace kept;
+  util::Trace kept_second;
+  emit_two_spellings(kept, kept_second);
+  kept.merge(std::move(kept_second));
+  EXPECT_TRUE(kept_second.empty());
+  // One row per text: bus.send, delivery.block, log.append, mab.receive.
+  const std::map<std::string, Summary> reference = table_from_spans(kept);
+  ASSERT_EQ(reference.size(), 4u);
+  ASSERT_EQ(reference.at("bus.send").count(), 5u);
+  expect_same_table(kept.stage_latency(), reference, "merged, spans kept");
+
+  // Merging into an empty trace takes the rows over whole.
+  util::Trace whole;
+  whole.merge(std::move(kept));
+  expect_same_table(whole.stage_latency(), reference, "moved into empty");
+
+  util::Trace table(/*keep_spans=*/false);
+  util::Trace table_second(/*keep_spans=*/false);
+  emit_two_spellings(table, table_second);
+  table.merge(std::move(table_second));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.spans().capacity(), 0u);
+  EXPECT_FALSE(table.empty());
+  expect_same_table(table.stage_latency(), reference, "merged, no spans");
+}
+
+TEST(TraceTableTest, ShardsTracedWithoutSpansKeepTheSameTable) {
+  const ShardTask task{0, shard_seed(5, 0)};
+  const std::vector<std::pair<std::string, std::function<ShardResult(bool)>>>
+      shards = {
+          {"storm",
+           [&task](bool keep_spans) {
+             StormWorkloadOptions workload =
+                 storm_workload(storm_defenses(), "");
+             workload.world.keep_spans = keep_spans;
+             return run_storm_shard(task, workload);
+           }},
+          {"chaos dup_storm", [&task](bool keep_spans) {
+             ChaosWorkloadOptions workload =
+                 chaos_workload(sim::ChaosScenario::preset("dup_storm"));
+             workload.world.keep_spans = keep_spans;
+             return run_chaos_shard(task, workload);
+           }}};
+  for (const auto& [name, run] : shards) {
+    const ShardResult with_spans = run(true);
+    const ShardResult without = run(false);
+    ASSERT_GT(with_spans.trace.size(), 0u) << name;
+    EXPECT_EQ(without.trace.spans().capacity(), 0u) << name;
+    EXPECT_EQ(without.counters.all(), with_spans.counters.all()) << name;
+    const std::map<std::string, Summary> reference =
+        table_from_spans(with_spans.trace);
+    expect_same_table(with_spans.trace.stage_latency(), reference,
+                      name + ", spans kept");
+    expect_same_table(without.trace.stage_latency(), reference,
+                      name + ", table only");
+  }
+}
 
 // --- Checkpoint image goldens -----------------------------------------------
 // One fleet image per resumable kind, cut after epoch 1 of 3 with the
