@@ -84,7 +84,7 @@ void ClientApp::force_crash() {
   on_kill();
 }
 
-Status ClientApp::begin_operation(const std::string& op) {
+Status ClientApp::begin_operation(std::string_view op) {
   stats_.bump("ops");
   switch (state_) {
     case ProcessState::kNotRunning:
@@ -105,12 +105,13 @@ Status ClientApp::begin_operation(const std::string& op) {
   if ((profile_.exception_op.empty() || profile_.exception_op == op) &&
       rng_.chance(profile_.op_exception_probability)) {
     stats_.bump("op_exceptions");
-    throw AutomationError(name_ + "." + op +
+    throw AutomationError(name_ + "." + std::string(op) +
                           ": exception from undocumented interface");
   }
   if (rng_.chance(profile_.op_transient_failure_probability)) {
     stats_.bump("op_transient_failures");
-    return Status::failure(name_ + "." + op + ": transient failure");
+    return Status::failure(name_ + "." + std::string(op) +
+                           ": transient failure");
   }
   return Status::success();
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gui/desktop.h"
@@ -115,7 +116,7 @@ class ClientApp {
   /// process is running, not blocked by a modal dialog, and rolls the
   /// injected-fault dice. Returns failure (or throws AutomationError)
   /// accordingly.
-  Status begin_operation(const std::string& op);
+  Status begin_operation(std::string_view op);
 
   /// Subclass hooks around process lifecycle.
   virtual void on_launch() {}

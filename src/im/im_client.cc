@@ -1,5 +1,8 @@
 #include "im/im_client.h"
 
+#include <iterator>
+#include <string_view>
+
 #include "util/log.h"
 
 namespace simba::im {
@@ -8,6 +11,11 @@ namespace {
 // RPC timeout for login/ping/send against the IM service. The paper's
 // one-way IM time is sub-second; this bounds outage stalls.
 constexpr Duration kRpcTimeout = seconds(10);
+
+// login.err and send.err name their cause; one without reads "unknown".
+const char* reason_of(const net::Message& m) {
+  return m.reason != nullptr ? m.reason : "unknown";
+}
 
 }  // namespace
 
@@ -50,36 +58,37 @@ bool ImClientApp::is_logged_in() {
   return logged_in_;
 }
 
-std::uint64_t ImClientApp::send_rpc(const std::string& type,
-                                    util::FlatMap<std::string, std::string> headers,
-                                    std::string body,
-                                    std::function<void(Status)> done,
-                                    const std::string& timeout_what) {
+net::Message ImClientApp::to_server(const char* type) const {
   net::Message m;
   m.from = bus_address_;
   m.to = server_address_;
   m.type = type;
-  m.headers = std::move(headers);
-  m.body = std::move(body);
-  const std::uint64_t id = bus_.send(std::move(m));
-  PendingRpc rpc;
-  rpc.done = std::move(done);
-  rpc.timeout_event = sim().after(
-      kRpcTimeout,
-      [this, id, timeout_what] {
-        const auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        auto done_cb = std::move(it->second.done);
-        pending_.erase(it);
-        stats().bump("rpc_timeouts");
-        if (done_cb) {
-          done_cb(Status::failure(name() + ": " + timeout_what +
-                                  " timed out (service unreachable?)"));
-        }
-      },
-      "im.rpc_timeout");
-  pending_.emplace(id, std::move(rpc));
-  return id;
+  m.user = user_;
+  return m;
+}
+
+void ImClientApp::send_rpc(net::Message request,
+                           std::function<void(Status)> done,
+                           const char* what) {
+  const std::uint64_t id = bus_.send(std::move(request));
+  // (this, id) fits std::function's inline buffer: arming the timeout
+  // allocates no closure.
+  const sim::EventId timeout =
+      sim().after(kRpcTimeout, [this, id] { time_out(id); }, "im.rpc_timeout");
+  pending_.emplace(id, PendingRpc{std::move(done), timeout, what});
+}
+
+void ImClientApp::time_out(std::uint64_t request_id) {
+  const auto it = pending_.find(request_id);
+  if (it == pending_.end()) return;
+  auto done_cb = std::move(it->second.done);
+  const char* what = it->second.what;
+  pending_.erase(it);
+  stats().bump("rpc_timeouts");
+  if (done_cb) {
+    done_cb(Status::failure(name() + ": " + what +
+                            " timed out (service unreachable?)"));
+  }
 }
 
 void ImClientApp::complete_rpc(std::uint64_t request_id, Status status) {
@@ -97,23 +106,14 @@ void ImClientApp::login(std::function<void(Status)> done) {
     if (done) done(gate);
     return;
   }
-  send_rpc(proto::kLogin, {{"user", user_}}, {},
-           [this, done = std::move(done)](Status status) {
-             if (done) done(std::move(status));
-           },
-           "login");
+  send_rpc(to_server(proto::kLogin), std::move(done), "login");
 }
 
 void ImClientApp::logout() {
   const Status gate = begin_operation("logout");
   if (!gate.ok()) return;
   if (!logged_in_) return;
-  net::Message m;
-  m.from = bus_address_;
-  m.to = server_address_;
-  m.type = proto::kLogout;
-  m.headers["user"] = user_;
-  bus_.send(std::move(m));
+  bus_.send(to_server(proto::kLogout));
   logged_in_ = false;
   epoch_ = 0;
 }
@@ -131,9 +131,9 @@ void ImClientApp::verify_connection(std::function<void(Status)> done) {
   // Note: an invalid pong flips logged_in_ in handle_bus; a mere RPC
   // timeout does NOT — one lost packet is not evidence of a dropped
   // session, and treating it as one would cause spurious re-logins.
-  send_rpc(proto::kPing,
-           {{"user", user_}, {"epoch", std::to_string(epoch_)}}, {},
-           std::move(done), "ping");
+  net::Message ping = to_server(proto::kPing);
+  ping.epoch = epoch_;
+  send_rpc(std::move(ping), std::move(done), "ping");
 }
 
 void ImClientApp::send_im(const std::string& to_user, const std::string& body,
@@ -148,19 +148,19 @@ void ImClientApp::send_im(const std::string& to_user, const std::string& body,
     if (done) done(Status::failure(name() + ": not signed in"));
     return;
   }
-  headers["from_user"] = user_;
-  headers["to_user"] = to_user;
-  headers["epoch"] = std::to_string(epoch_);
-  if (headers.find("seq") == headers.end()) {
-    headers["seq"] = user_ + "-" + std::to_string(next_seq_++);
-  }
-  send_rpc(proto::kSend, std::move(headers), body, std::move(done), "send");
+  net::Message send = to_server(proto::kSend);
+  send.to_user = to_user;
+  send.epoch = epoch_;
+  send.headers = std::move(headers);
+  send.body = body;
+  send_rpc(std::move(send), std::move(done), "send");
 }
 
 std::vector<ImMessage> ImClientApp::fetch_unread() {
   const Status gate = begin_operation("fetch_unread");
   if (!gate.ok()) return {};
-  std::vector<ImMessage> out(inbox_.begin(), inbox_.end());
+  std::vector<ImMessage> out(std::make_move_iterator(inbox_.begin()),
+                             std::make_move_iterator(inbox_.end()));
   inbox_.clear();
   return out;
 }
@@ -171,35 +171,11 @@ void ImClientApp::handle_bus(const net::Message& m) {
     stats().bump("messages_dropped_while_hung");
     return;
   }
-  if (m.type == proto::kLoginOk) {
-    logged_in_ = true;
-    epoch_ = std::stoull(m.headers.at("epoch"));
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")), Status::success());
-  } else if (m.type == proto::kLoginErr) {
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 Status::failure("login rejected: " +
-                                 m.headers.at("reason")));
-  } else if (m.type == proto::kPong) {
-    const bool valid = m.headers.at("valid") == "1";
-    if (!valid) logged_in_ = false;
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 valid ? Status::success()
-                       : Status::failure("session invalid"));
-  } else if (m.type == proto::kSendOk) {
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")), Status::success());
-  } else if (m.type == proto::kSendErr) {
-    const std::string reason = m.headers.count("reason")
-                                   ? m.headers.at("reason")
-                                   : "unknown";
-    if (reason == "not logged in") logged_in_ = false;
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 Status::failure("send failed: " + reason));
-  } else if (m.type == proto::kDeliver) {
+  if (m.type == proto::kDeliver) {
     ImMessage im;
-    im.from_user = m.headers.at("from_user");
-    im.to_user = m.headers.at("to_user");
+    im.from_user = m.user;
+    im.to_user = m.to_user;
     im.body = m.body;
-    im.seq = m.headers.at("seq");
     im.headers = m.headers;
     im.received_at = sim().now();
     inbox_.push_back(std::move(im));
@@ -213,9 +189,36 @@ void ImClientApp::handle_bus(const net::Message& m) {
     } else {
       stats().bump("new_message_events_lost");
     }
-  } else if (m.type == proto::kLoggedOut) {
+    return;
+  }
+  if (m.type == proto::kLoggedOut) {
     logged_in_ = false;
     stats().bump("logged_out_notices");
+    return;
+  }
+  if (m.in_reply_to == 0) {
+    // Every server reply names its request (bus ids start at 1). One
+    // that names none is malformed and must not touch the session.
+    stats().bump("unrequested_replies");
+    return;
+  }
+  if (m.type == proto::kLoginOk) {
+    logged_in_ = true;
+    epoch_ = m.epoch;
+    complete_rpc(m.in_reply_to, Status::success());
+  } else if (m.type == proto::kLoginErr) {
+    complete_rpc(m.in_reply_to, Status::failure(std::string("login rejected: ") +
+                                                reason_of(m)));
+  } else if (m.type == proto::kPong) {
+    if (!m.valid) logged_in_ = false;
+    complete_rpc(m.in_reply_to, m.valid ? Status::success()
+                                        : Status::failure("session invalid"));
+  } else if (m.type == proto::kSendOk) {
+    complete_rpc(m.in_reply_to, Status::success());
+  } else if (m.type == proto::kSendErr) {
+    if (std::string_view(reason_of(m)) == "not logged in") logged_in_ = false;
+    complete_rpc(m.in_reply_to,
+                 Status::failure(std::string("send failed: ") + reason_of(m)));
   }
 }
 

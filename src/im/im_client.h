@@ -25,7 +25,7 @@ struct ImMessage {
   std::string from_user;
   std::string to_user;
   std::string body;
-  std::string seq;  // sender-assigned sequence tag (SIMBA uses these)
+  /// Exactly the application headers the sender passed to send_im.
   util::FlatMap<std::string, std::string> headers;
   TimePoint received_at{};
 };
@@ -85,14 +85,18 @@ class ImClientApp : public gui::ClientApp {
   struct PendingRpc {
     std::function<void(Status)> done;
     sim::EventId timeout_event = 0;
+    /// Names the call in its timeout failure; a string literal.
+    const char* what = "";
   };
 
+  /// A `type` message from this client to the server, for this user.
+  net::Message to_server(const char* type) const;
   void handle_bus(const net::Message& m);
   void complete_rpc(std::uint64_t request_id, Status status);
-  std::uint64_t send_rpc(const std::string& type,
-                         util::FlatMap<std::string, std::string> headers,
-                         std::string body, std::function<void(Status)> done,
-                         const std::string& timeout_what);
+  /// Sends `request` and arms its timeout; `what` must be a literal.
+  void send_rpc(net::Message request, std::function<void(Status)> done,
+                const char* what);
+  void time_out(std::uint64_t request_id);
 
   net::MessageBus& bus_;
   std::string server_address_;
@@ -101,7 +105,6 @@ class ImClientApp : public gui::ClientApp {
   ImClientConfig config_;
   bool logged_in_ = false;
   std::uint64_t epoch_ = 0;
-  std::uint64_t next_seq_ = 1;
   /// Drained via sorted_items() on kill so failure callbacks fire in
   /// request-id order, matching the old ordered map's event sequence.
   util::FlatMap<std::uint64_t, PendingRpc> pending_;

@@ -3,6 +3,16 @@
 #include "util/log.h"
 
 namespace simba::im {
+namespace {
+
+// The fields of a login.err or send.err reply.
+net::Message refusal(const char* reason) {
+  net::Message m;
+  m.reason = reason;
+  return m;
+}
+
+}  // namespace
 
 ImServer::ImServer(sim::Simulator& sim, net::MessageBus& bus,
                    std::string address)
@@ -49,7 +59,7 @@ void ImServer::force_logout(const std::string& user) {
   note.from = address_;
   note.to = client;
   note.type = proto::kLoggedOut;
-  note.headers["user"] = user;
+  note.user = user;
   bus_.send(std::move(note));
 }
 
@@ -72,17 +82,13 @@ void ImServer::arm_session_reset(const std::string& user) {
       [this, user] { force_logout(user); }, "im.session_reset");
 }
 
-void ImServer::reply(const net::Message& to_msg, const std::string& type,
-                     util::FlatMap<std::string, std::string> headers,
-                     std::string body) {
-  net::Message m;
-  m.from = address_;
-  m.to = to_msg.from;
-  m.type = type;
-  m.headers = std::move(headers);
-  m.headers["in_reply_to"] = std::to_string(to_msg.id);
-  m.body = std::move(body);
-  bus_.send(std::move(m));
+void ImServer::reply(const net::Message& request, const char* type,
+                     net::Message fields) {
+  fields.from = address_;
+  fields.to = request.from;
+  fields.type = type;
+  fields.in_reply_to = request.id;
+  bus_.send(std::move(fields));
 }
 
 void ImServer::handle(const net::Message& m) {
@@ -94,18 +100,17 @@ void ImServer::handle(const net::Message& m) {
   if (m.type == proto::kLogin) {
     handle_login(m);
   } else if (m.type == proto::kLogout) {
-    const auto it = sessions_.find(m.headers.at("user"));
+    const auto it = sessions_.find(m.user);
     if (it != sessions_.end()) {
       if (it->second.reset_event != 0) sim_.cancel(it->second.reset_event);
       sessions_.erase(it);
     }
     stats_.bump("logouts");
   } else if (m.type == proto::kPing) {
-    const auto it = sessions_.find(m.headers.at("user"));
-    const bool valid =
-        it != sessions_.end() &&
-        std::to_string(it->second.epoch) == m.headers.at("epoch");
-    reply(m, proto::kPong, {{"valid", valid ? "1" : "0"}});
+    const auto it = sessions_.find(m.user);
+    net::Message pong;
+    pong.valid = it != sessions_.end() && it->second.epoch == m.epoch;
+    reply(m, proto::kPong, std::move(pong));
     stats_.bump("pings");
   } else if (m.type == proto::kSend) {
     handle_send(m);
@@ -115,9 +120,9 @@ void ImServer::handle(const net::Message& m) {
 }
 
 void ImServer::handle_login(const net::Message& m) {
-  const std::string& user = m.headers.at("user");
+  const std::string& user = m.user;
   if (!has_account(user)) {
-    reply(m, proto::kLoginErr, {{"reason", "no such account"}});
+    reply(m, proto::kLoginErr, refusal("no such account"));
     stats_.bump("login_rejected");
     return;
   }
@@ -131,26 +136,23 @@ void ImServer::handle_login(const net::Message& m) {
   }
   sessions_[user] = session;
   stats_.bump("logins");
-  reply(m, proto::kLoginOk, {{"epoch", std::to_string(session.epoch)},
-                             {"user", user}});
+  net::Message ok;
+  ok.user = user;
+  ok.epoch = session.epoch;
+  reply(m, proto::kLoginOk, std::move(ok));
   arm_session_reset(user);
 }
 
 void ImServer::handle_send(const net::Message& m) {
-  const std::string& from_user = m.headers.at("from_user");
-  const std::string& to_user = m.headers.at("to_user");
-  const auto sender = sessions_.find(from_user);
-  if (sender == sessions_.end() ||
-      std::to_string(sender->second.epoch) != m.headers.at("epoch")) {
-    reply(m, proto::kSendErr, {{"reason", "not logged in"},
-                               {"seq", m.headers.at("seq")}});
+  const auto sender = sessions_.find(m.user);
+  if (sender == sessions_.end() || sender->second.epoch != m.epoch) {
+    reply(m, proto::kSendErr, refusal("not logged in"));
     stats_.bump("send_rejected.no_session");
     return;
   }
-  const auto recipient = sessions_.find(to_user);
+  const auto recipient = sessions_.find(m.to_user);
   if (recipient == sessions_.end()) {
-    reply(m, proto::kSendErr,
-          {{"reason", "recipient offline"}, {"seq", m.headers.at("seq")}});
+    reply(m, proto::kSendErr, refusal("recipient offline"));
     stats_.bump("send_rejected.offline");
     return;
   }
@@ -158,10 +160,12 @@ void ImServer::handle_send(const net::Message& m) {
   out.from = address_;
   out.to = recipient->second.client_address;
   out.type = proto::kDeliver;
+  out.user = m.user;
+  out.to_user = m.to_user;
   out.headers = m.headers;
   out.body = m.body;
   bus_.send(std::move(out));
-  reply(m, proto::kSendOk, {{"seq", m.headers.at("seq")}});
+  reply(m, proto::kSendOk);
   stats_.bump("sends");
 }
 

@@ -20,8 +20,11 @@ namespace simba::im {
 
 /// Wire protocol message types, carried over net::MessageBus.
 /// client -> server: im.login, im.logout, im.ping, im.send
-/// server -> client: im.login.ok, im.pong, im.send.ok, im.send.err,
-///                   im.deliver, im.logged_out
+/// server -> client: im.login.ok, im.login.err, im.pong, im.send.ok,
+///                   im.send.err, im.deliver, im.logged_out
+/// The protocol's fields are net::Message's typed members (user,
+/// to_user, epoch, in_reply_to, reason, valid); `headers` carries only
+/// the application payload of send and deliver.
 namespace proto {
 inline constexpr char kLogin[] = "im.login";
 inline constexpr char kLoginOk[] = "im.login.ok";
@@ -78,9 +81,10 @@ class ImServer {
   void handle(const net::Message& m);
   void handle_login(const net::Message& m);
   void handle_send(const net::Message& m);
-  void reply(const net::Message& to_msg, const std::string& type,
-             util::FlatMap<std::string, std::string> headers = {},
-             std::string body = {});
+  /// Sends `fields` back to the request's sender as a `type` reply
+  /// naming the request's id.
+  void reply(const net::Message& request, const char* type,
+             net::Message fields = {});
   void drop_all_sessions();
   void arm_session_reset(const std::string& user);
 

@@ -1,5 +1,7 @@
-// Simulated message transport shared by the IM, email, and SMS
-// substrates. One bus per simulation; endpoints are string addresses.
+// Simulated message transport. One bus per simulation; endpoints are
+// string addresses. The IM service (im::ImServer and its
+// im::ImClientApp clients) is the only sender: e-mail and SMS travel
+// through their own servers, not over the bus.
 //
 // The bus models what the paper's dependability story needs:
 // per-link latency distributions (IM "< 1 second", email "seconds to
@@ -35,19 +37,35 @@ namespace simba::net {
 /// temporary strings.
 using AddressPair = std::pair<std::string, std::string>;
 
-/// An in-flight message. `type` is a protocol discriminator (e.g.
-/// "im.send", "smtp.mail"); `headers` carry protocol fields; `body`
-/// carries the payload.
+/// An in-flight message: the IM wire record. `type` is the protocol
+/// discriminator (im/im_server.h `proto`), and the IM protocol's
+/// fixed fields are plain members, so a keepalive formats, parses and
+/// allocates no header text. The bus itself reads only `from`, `to`,
+/// `type` and the alert keys of `headers`; it never includes im/.
 struct Message {
   std::string from;
   std::string to;
   std::string type;
   std::string body;
-  /// Header lookups (alert ids, wire kinds, acks) are the hottest
-  /// string probes on the submit→deliver path, and every message
-  /// construction used to pay one tree-node allocation per header.
-  /// The snapshot codec serialises headers via sorted_items(), so the
-  /// wire image stays byte-identical to the old ordered map's.
+  /// The session's user on login, logout, ping, login.ok and
+  /// logged_out; the sender on send and deliver.
+  std::string user;
+  /// The recipient on send and deliver.
+  std::string to_user;
+  /// Session epoch on ping, send and login.ok.
+  std::uint64_t epoch = 0;
+  /// The request's message id on every server reply (0: not a reply;
+  /// bus ids start at 1).
+  std::uint64_t in_reply_to = 0;
+  /// Why login.err or send.err refused; a string literal, or null when
+  /// the sender gave none.
+  const char* reason = nullptr;
+  /// pong: the pinged session is current.
+  bool valid = false;
+  /// The application payload only: the alert, ack and command keys
+  /// that core (and traced()/trace_id() here) read. IM control
+  /// messages carry none, and an alert IM without attributes stays
+  /// within FlatMap's small-map mode (DESIGN.md §16).
   util::FlatMap<std::string, std::string> headers;
   TimePoint sent_at{};
   std::uint64_t id = 0;

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -141,11 +142,12 @@ struct FlatHashFor<std::pair<std::string, std::string>> {
 /// Small-map mode: until the map outgrows kSmallCap entries no bucket
 /// array exists at all — lookups linearly scan the dense slots (a
 /// handful of string_view compares beats hashing at this size), and
-/// the first insert reserves exactly kSmallCap slots. A wire-header
-/// map (4-7 entries) therefore costs one allocation total, where the
-/// std::map it replaced paid one node per header. Crossing kSmallCap
-/// builds the bucket array; the graduation point is a pure function
-/// of the insertion sequence, so determinism is unaffected.
+/// the first insert reserves exactly kSmallCap slots. An alert IM's
+/// headers (8 entries when it has no attributes) therefore cost one
+/// allocation total, where a std::map paid one node per header.
+/// Crossing kSmallCap builds the bucket array; the graduation point is
+/// a pure function of the insertion sequence, so determinism is
+/// unaffected.
 template <typename Key, typename T,
           typename Hash = typename FlatHashFor<Key>::Hash,
           typename Eq = typename FlatHashFor<Key>::Eq>
@@ -260,15 +262,18 @@ class FlatMap {
     return try_emplace(std::forward<K>(key)).first->second;
   }
 
-  /// Lookup that must hit (asserted by the std::map-compatible
-  /// contract at call sites that probe after inserting).
+  /// std::map::at: the mapped value, or std::out_of_range on a miss.
   template <typename K>
   T& at(const K& key) {
-    return find(key)->second;
+    const std::size_t s = find_slot(key);
+    if (s == kNpos) throw std::out_of_range("FlatMap::at: key not found");
+    return slots_[s].second;
   }
   template <typename K>
   const T& at(const K& key) const {
-    return find(key)->second;
+    const std::size_t s = find_slot(key);
+    if (s == kNpos) throw std::out_of_range("FlatMap::at: key not found");
+    return slots_[s].second;
   }
 
   template <typename K>

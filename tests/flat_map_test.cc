@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -153,6 +154,43 @@ TEST(FlatMap, SmallMapModeDefersBucketArrayUntilNinthKey) {
   EXPECT_EQ(r.bucket_count(), 0u);
   r.reserve(9);
   EXPECT_GT(r.bucket_count(), 0u);
+}
+
+// std::map::at's contract: a miss throws std::out_of_range instead of
+// handing back a reference to storage that holds no element.
+template <typename Map>
+void expect_at_misses_throw(Map& m) {
+  const Map& cm = m;
+  EXPECT_THROW(m.at("user"), std::out_of_range);
+  EXPECT_THROW(cm.at("user"), std::out_of_range);
+  EXPECT_THROW(m.at(std::string_view("epoch")), std::out_of_range);
+  EXPECT_THROW(cm.at(std::string("epoch")), std::out_of_range);
+}
+
+TEST(FlatMap, AtOnAnEmptyMapThrows) {
+  FlatMap<std::string, std::string> m;  // no storage at all
+  expect_at_misses_throw(m);
+  EXPECT_TRUE(m.empty());
+}
+
+TEST(FlatMap, AtMissOnASmallMapThrows) {
+  // Seven reserved slots past the one live entry hold no element.
+  FlatMap<std::string, std::string> m{{"alert_id", "a-1"}};
+  ASSERT_EQ(m.bucket_count(), 0u);
+  expect_at_misses_throw(m);
+  EXPECT_EQ(m.at("alert_id"), "a-1");
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMap, AtMissOnAGraduatedMapThrows) {
+  FlatMap<std::string, std::string> m;
+  // std::string rvalue: sidesteps a GCC 12 -Werror=restrict false
+  // positive on the const char* assign path at -O3.
+  for (int i = 0; i < 20; ++i) m[strformat("k%d", i)] = std::string("v");
+  ASSERT_GT(m.bucket_count(), 0u);
+  expect_at_misses_throw(m);
+  EXPECT_EQ(m.at("k19"), "v");
+  EXPECT_EQ(m.size(), 20u);
 }
 
 TEST(FlatSet, SmallSetModeDefersBucketArrayUntilNinthKey) {
