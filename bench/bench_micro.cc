@@ -118,11 +118,9 @@ void BM_BusRoundTrip(benchmark::State& state) {
   std::int64_t received = 0;
   bus.attach("b", [&](const net::Message&) { ++received; });
   net::Message proto;
-  // std::string rvalues: sidestep a GCC 12 -Werror=restrict false
-  // positive on the const char* assign path at -O2.
-  proto.from = std::string("a");
-  proto.to = std::string("b");
-  proto.type = std::string("t");
+  proto.from = bus.intern("a");
+  proto.to = bus.intern("b");
+  proto.type = "t";
   for (auto _ : state) {
     bus.send(proto);
     sim.run();

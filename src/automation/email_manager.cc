@@ -20,27 +20,21 @@ void EmailManager::start() {
   start_monkey();
 }
 
-void EmailManager::sanity_check(std::function<void(SanityReport)> done) {
+void EmailManager::sanity_check() {
   stats().bump("sanity_checks");
-  auto finish = [this, done = std::move(done)](SanityReport report) {
-    if (report.needs_restart && auto_restart_) {
-      restart();
-      stats().bump("restarts_from_sanity");
-      report.detail += " (restarted)";
-    }
-    if (done) done(std::move(report));
-  };
+  const std::uint64_t epoch = report_epoch();
 
   if (client_.state() == gui::ProcessState::kHung) {
     stats().bump("hung_detected");
-    finish({.healthy = false, .needs_restart = true, .detail = "client hung"});
+    finish(epoch,
+           {.healthy = false, .needs_restart = true, .detail = "client hung"});
     return;
   }
   if (!client_.running()) {
     stats().bump("dead_detected");
-    finish({.healthy = false,
-            .needs_restart = true,
-            .detail = "client not running"});
+    finish(epoch, {.healthy = false,
+                   .needs_restart = true,
+                   .detail = "client not running"});
     return;
   }
   if (!pointer_valid()) {
@@ -51,23 +45,23 @@ void EmailManager::sanity_check(std::function<void(SanityReport)> done) {
     if (monkey_active()) monkey_sweep();
     if (desktop_.any_blocking(app_.name())) {
       stats().bump("blocked_by_dialog");
-      finish({.healthy = false,
-              .detail = "blocked by unhandled modal dialog"});
+      finish(epoch, {.healthy = false,
+                     .detail = "blocked by unhandled modal dialog"});
       return;
     }
   }
   try {
     const Status status = client_.verify_connection();
     if (status.ok()) {
-      finish({.healthy = true, .detail = "ok"});
+      finish(epoch, {.healthy = true, .detail = "ok"});
     } else {
-      finish({.healthy = false, .detail = status.error()});
+      finish(epoch, {.healthy = false, .detail = status.error()});
     }
   } catch (const gui::AutomationError& e) {
     stats().bump("automation_errors");
-    finish({.healthy = false,
-            .needs_restart = true,
-            .detail = std::string("automation error: ") + e.what()});
+    finish(epoch, {.healthy = false,
+                   .needs_restart = true,
+                   .detail = std::string("automation error: ") + e.what()});
   }
 }
 

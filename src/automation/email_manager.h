@@ -24,10 +24,8 @@ class EmailManager : public CommunicationManager {
 
   /// Process/pointer checks plus relay reachability. Synchronous (the
   /// email client checks its relay locally) but delivered through the
-  /// same async signature as the IM manager.
-  void sanity_check(std::function<void(SanityReport)> done) override;
-
-  void set_auto_restart(bool v) { auto_restart_ = v; }
+  /// same report observer as the IM manager.
+  void sanity_check() override;
 
   /// Robust send: absorbs one AutomationError with restart + retry.
   Status send_email(email::Email mail);
@@ -39,7 +37,6 @@ class EmailManager : public CommunicationManager {
 
  private:
   email::EmailClientApp& client_;
-  bool auto_restart_ = true;
 };
 
 }  // namespace simba::automation

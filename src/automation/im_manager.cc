@@ -38,32 +38,25 @@ void ImManager::restart() {
   }
 }
 
-void ImManager::sanity_check(std::function<void(SanityReport)> done) {
+void ImManager::sanity_check() {
   stats().bump("sanity_checks");
-  auto finish = [this, done = std::move(done)](SanityReport report) {
-    if (report.needs_restart && auto_restart_) {
-      restart();
-      stats().bump("restarts_from_sanity");
-      report.detail += " (restarted)";
-    }
-    if (done) done(std::move(report));
-  };
+  const std::uint64_t epoch = report_epoch();
 
   // Step 1: process and pointer checks (cheap, synchronous).
   if (client_.state() == gui::ProcessState::kHung) {
     stats().bump("hung_detected");
-    finish({.healthy = false,
-            .fixed_in_place = false,
-            .needs_restart = true,
-            .detail = "client hung"});
+    finish(epoch, {.healthy = false,
+                   .fixed_in_place = false,
+                   .needs_restart = true,
+                   .detail = "client hung"});
     return;
   }
   if (!client_.running()) {
     stats().bump("dead_detected");
-    finish({.healthy = false,
-            .fixed_in_place = false,
-            .needs_restart = true,
-            .detail = "client not running"});
+    finish(epoch, {.healthy = false,
+                   .fixed_in_place = false,
+                   .needs_restart = true,
+                   .detail = "client not running"});
     return;
   }
   if (!pointer_valid()) {
@@ -80,8 +73,8 @@ void ImManager::sanity_check(std::function<void(SanityReport)> done) {
     if (monkey_active()) monkey_sweep();
     if (desktop_.any_blocking(app_.name())) {
       stats().bump("blocked_by_dialog");
-      finish({.healthy = false,
-              .detail = "blocked by unhandled modal dialog"});
+      finish(epoch, {.healthy = false,
+                     .detail = "blocked by unhandled modal dialog"});
       return;
     }
   }
@@ -91,68 +84,80 @@ void ImManager::sanity_check(std::function<void(SanityReport)> done) {
     if (!client_.is_logged_in()) {
       // "If it has been logged out ... it will be re-logged in."
       stats().bump("logged_out_detected");
-      client_.login([this, finish](Status status) {
-        if (status.ok()) {
-          stats().bump("relogin_fixes");
-          finish({.healthy = true,
-                  .fixed_in_place = true,
-                  .needs_restart = false,
-                  .detail = "re-logon worked"});
-        } else {
-          // Service unreachable: restart will not help; record an
-          // unhealthy period (an IM downtime from the outside).
-          stats().bump("relogin_failures");
-          finish({.healthy = false,
-                  .fixed_in_place = false,
-                  .needs_restart = false,
-                  .detail = "re-logon failed: " + status.error()});
-        }
+      client_.login([this, epoch](Status status) {
+        relogon_done(epoch, std::move(status));
       });
       return;
     }
     // Logged in per the client; verify the session end-to-end.
-    client_.verify_connection([this, finish](Status status) {
-      if (status.ok()) {
-        finish({.healthy = true, .detail = "ok"});
-        return;
-      }
-      if (contains(status.error(), "timed out")) {
-        // Unreachable service (or one lost packet): re-logging-in will
-        // not help and would inflate the re-logon count; report
-        // unhealthy and let the next check decide.
-        stats().bump("verify_timeouts");
-        finish({.healthy = false,
-                .detail = "service unreachable: " + status.error()});
-        return;
-      }
-      // Session invalid: the server dropped us. Re-login once.
-      try {
-        client_.login([this, finish](Status login_status) {
-          if (login_status.ok()) {
-            stats().bump("relogin_fixes");
-            finish({.healthy = true,
-                    .fixed_in_place = true,
-                    .needs_restart = false,
-                    .detail = "session refreshed by re-logon"});
-          } else {
-            stats().bump("relogin_failures");
-            finish({.healthy = false,
-                    .detail = "service unreachable: " + login_status.error()});
-          }
-        });
-      } catch (const gui::AutomationError& e) {
-        stats().bump("automation_errors");
-        finish({.healthy = false,
-                .needs_restart = true,
-                .detail = std::string("automation error: ") + e.what()});
-      }
+    client_.verify_connection([this, epoch](Status status) {
+      verify_done(epoch, std::move(status));
     });
   } catch (const gui::AutomationError& e) {
     stats().bump("automation_errors");
-    finish({.healthy = false,
-            .needs_restart = true,
-            .detail = std::string("automation error: ") + e.what()});
+    finish(epoch, {.healthy = false,
+                   .needs_restart = true,
+                   .detail = std::string("automation error: ") + e.what()});
   }
+}
+
+void ImManager::relogon_done(std::uint64_t epoch, Status status) {
+  if (status.ok()) {
+    stats().bump("relogin_fixes");
+    finish(epoch, {.healthy = true,
+                   .fixed_in_place = true,
+                   .needs_restart = false,
+                   .detail = "re-logon worked"});
+    return;
+  }
+  // Service unreachable: restart will not help; record an unhealthy
+  // period (an IM downtime from the outside).
+  stats().bump("relogin_failures");
+  finish(epoch, {.healthy = false,
+                 .fixed_in_place = false,
+                 .needs_restart = false,
+                 .detail = "re-logon failed: " + status.error()});
+}
+
+void ImManager::verify_done(std::uint64_t epoch, Status status) {
+  if (status.ok()) {
+    finish(epoch, {.healthy = true, .detail = "ok"});
+    return;
+  }
+  if (contains(status.error(), "timed out")) {
+    // Unreachable service (or one lost packet): re-logging-in will not
+    // help and would inflate the re-logon count; report unhealthy and
+    // let the next check decide.
+    stats().bump("verify_timeouts");
+    finish(epoch, {.healthy = false,
+                   .detail = "service unreachable: " + status.error()});
+    return;
+  }
+  // Session invalid: the server dropped us. Re-login once.
+  try {
+    client_.login([this, epoch](Status login) {
+      refresh_done(epoch, std::move(login));
+    });
+  } catch (const gui::AutomationError& e) {
+    stats().bump("automation_errors");
+    finish(epoch, {.healthy = false,
+                   .needs_restart = true,
+                   .detail = std::string("automation error: ") + e.what()});
+  }
+}
+
+void ImManager::refresh_done(std::uint64_t epoch, Status status) {
+  if (status.ok()) {
+    stats().bump("relogin_fixes");
+    finish(epoch, {.healthy = true,
+                   .fixed_in_place = true,
+                   .needs_restart = false,
+                   .detail = "session refreshed by re-logon"});
+    return;
+  }
+  stats().bump("relogin_failures");
+  finish(epoch, {.healthy = false,
+                 .detail = "service unreachable: " + status.error()});
 }
 
 void ImManager::send_im(const std::string& to_user, const std::string& body,

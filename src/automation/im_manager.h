@@ -26,10 +26,8 @@ class ImManager : public CommunicationManager {
   /// "simple re-logon attempts worked" cases); server reachable (ping /
   /// "can launch IM sessions, obtain the status of the buddies"). Hangs
   /// and stale pointers are unfixable in place and escalate to restart
-  /// when `auto_restart` is set (default).
-  void sanity_check(std::function<void(SanityReport)> done) override;
-
-  void set_auto_restart(bool v) { auto_restart_ = v; }
+  /// when auto-restart is on (default).
+  void sanity_check() override;
 
   void restart() override;
 
@@ -48,8 +46,15 @@ class ImManager : public CommunicationManager {
   void set_on_new_message(std::function<void()> handler);
 
  private:
+  // The check's continuations, tagged with its report epoch.
+  /// A logged-out client's re-logon.
+  void relogon_done(std::uint64_t epoch, Status status);
+  /// The ping that verifies a signed-in session.
+  void verify_done(std::uint64_t epoch, Status status);
+  /// The re-logon after the server invalidated the session.
+  void refresh_done(std::uint64_t epoch, Status status);
+
   im::ImClientApp& client_;
-  bool auto_restart_ = true;
 };
 
 }  // namespace simba::automation

@@ -39,6 +39,21 @@ void CommunicationManager::restart() {
   refresh_pointer();
 }
 
+void CommunicationManager::set_on_report(
+    std::function<void(const SanityReport&)> observer) {
+  on_report_ = std::move(observer);
+  ++report_epoch_;
+}
+
+void CommunicationManager::finish(std::uint64_t epoch, SanityReport report) {
+  if (report.needs_restart && auto_restart_) {
+    restart();
+    stats_.bump("restarts_from_sanity");
+    report.detail += " (restarted)";
+  }
+  if (epoch == report_epoch_ && on_report_) on_report_(report);
+}
+
 void CommunicationManager::add_caption_pair(
     const std::string& caption_substring, const std::string& button) {
   captions_.add(caption_substring, button);

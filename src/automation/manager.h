@@ -19,6 +19,7 @@
 //      dialog boxes were fixed by adding their pairs).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -65,8 +66,18 @@ class CommunicationManager {
   const std::string& name() const { return name_; }
 
   // --- API 1: Sanity Checking ---------------------------------------------
-  /// Asynchronous: some checks require a server round-trip.
-  virtual void sanity_check(std::function<void(SanityReport)> done) = 0;
+  /// Asynchronous: some checks require a server round-trip. The report
+  /// goes to the observer set_on_report() installed, if any.
+  virtual void sanity_check() = 0;
+
+  /// Installs the one report observer (null clears it). A check
+  /// started under an earlier observer still finishes, restart
+  /// included, but its report is dropped: a MAB incarnation never
+  /// hears about its predecessor's checks.
+  void set_on_report(std::function<void(const SanityReport&)> observer);
+
+  /// Escalate unfixable checks to Shutdown/Restart (default on).
+  void set_auto_restart(bool v) { auto_restart_ = v; }
 
   // --- API 2: Shutdown/Restart --------------------------------------------
   /// Terminates the running instance (works on hung processes),
@@ -104,6 +115,14 @@ class CommunicationManager {
  protected:
   void refresh_pointer() { pointer_ = gui::AutomationPointer(app_); }
 
+  /// Tags a check at its start; continuations that outlive the call
+  /// capture only (this, epoch), which std::function stores inline.
+  std::uint64_t report_epoch() const { return report_epoch_; }
+  /// Ends the check tagged `epoch`: restarts the client when the report
+  /// needs it (and auto-restart is on), then reports to the observer
+  /// if it is still the one the check started under.
+  void finish(std::uint64_t epoch, SanityReport report);
+
   sim::Simulator& sim_;
   gui::Desktop& desktop_;
   gui::ClientApp& app_;
@@ -112,6 +131,11 @@ class CommunicationManager {
   CaptionRegistry captions_;
   sim::TaskHandle monkey_task_;
   Counters stats_;
+
+ private:
+  std::function<void(const SanityReport&)> on_report_;
+  std::uint64_t report_epoch_ = 0;
+  bool auto_restart_ = true;
 };
 
 }  // namespace simba::automation

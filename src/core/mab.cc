@@ -64,6 +64,8 @@ MyAlertBuddy::~MyAlertBuddy() {
   // Unhook our callbacks from the (longer-lived) managers.
   im_.set_on_new_message(nullptr);
   email_.set_on_new_mail(nullptr);
+  im_.set_on_report(nullptr);
+  email_.set_on_report(nullptr);
 }
 
 void MyAlertBuddy::start() {
@@ -94,6 +96,12 @@ void MyAlertBuddy::start() {
 
   im_.set_on_new_message([this] { pump_im(); });
   email_.set_on_new_mail([this] { pump_email(); });
+  im_.set_on_report([this](const automation::SanityReport& report) {
+    if (!report.healthy) stats_.bump("sanity.im_unhealthy");
+  });
+  email_.set_on_report([this](const automation::SanityReport& report) {
+    if (!report.healthy) stats_.bump("sanity.email_unhealthy");
+  });
 
   sweep_task_ = sim_.every(
       kPumpSweepInterval,
@@ -656,18 +664,11 @@ void MyAlertBuddy::sanity_tick() {
     fail_with(std::string("IM exception in health probe: ") + e.what());
     return;
   }
-  // These callbacks ride manager-internal RPCs and can land after this
-  // incarnation is gone; the alive token guards them.
-  im_.sanity_check(
-      [this, alive = alive_](const automation::SanityReport& report) {
-        if (!*alive) return;
-        if (!report.healthy) stats_.bump("sanity.im_unhealthy");
-      });
-  email_.sanity_check(
-      [this, alive = alive_](const automation::SanityReport& report) {
-        if (!*alive) return;
-        if (!report.healthy) stats_.bump("sanity.email_unhealthy");
-      });
+  // The reports go to the observers start() installed. A check can
+  // finish after this incarnation is gone; its successor's observers
+  // never hear of it (the managers drop it by report epoch).
+  im_.sanity_check();
+  email_.sanity_check();
 }
 
 void MyAlertBuddy::stabilization_tick() {

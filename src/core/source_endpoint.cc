@@ -49,8 +49,8 @@ void SourceEndpoint::start() {
   sanity_task_ = sim_.every(
       minutes(1),
       [this] {
-        im_manager_->sanity_check(nullptr);
-        email_manager_->sanity_check(nullptr);
+        im_manager_->sanity_check();
+        email_manager_->sanity_check();
         pump_im();  // sweep for acks whose events were lost
       },
       "source.sanity");

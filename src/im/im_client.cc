@@ -20,14 +20,14 @@ const char* reason_of(const net::Message& m) {
 }  // namespace
 
 ImClientApp::ImClientApp(sim::Simulator& sim, gui::Desktop& desktop,
-                         net::MessageBus& bus, std::string server_address,
+                         net::MessageBus& bus, std::string_view server_address,
                          std::string user, gui::FaultProfile profile,
                          ImClientConfig config)
     : gui::ClientApp(sim, desktop, "im_client." + user, std::move(profile)),
       bus_(bus),
-      server_address_(std::move(server_address)),
       user_(std::move(user)),
-      bus_address_("im.client." + user_),
+      bus_address_(bus.intern("im.client." + user_)),
+      server_address_(bus.intern(server_address)),
       config_(config) {}
 
 ImClientApp::~ImClientApp() { bus_.detach(bus_address_); }
@@ -71,8 +71,8 @@ void ImClientApp::send_rpc(net::Message request,
                            std::function<void(Status)> done,
                            const char* what) {
   const std::uint64_t id = bus_.send(std::move(request));
-  // (this, id) fits std::function's inline buffer: arming the timeout
-  // allocates no closure.
+  // (this, id) is trivially copyable and 16 B, so std::function stores
+  // it inline: arming the timeout allocates no closure.
   const sim::EventId timeout =
       sim().after(kRpcTimeout, [this, id] { time_out(id); }, "im.rpc_timeout");
   pending_.emplace(id, PendingRpc{std::move(done), timeout, what});
@@ -177,7 +177,6 @@ void ImClientApp::handle_bus(const net::Message& m) {
     im.to_user = m.to_user;
     im.body = m.body;
     im.headers = m.headers;
-    im.received_at = sim().now();
     inbox_.push_back(std::move(im));
     stats().bump("messages_received");
     // The new-message event can be lost (blocked by a modal dialog or

@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gui/client_app.h"
@@ -27,7 +28,6 @@ struct ImMessage {
   std::string body;
   /// Exactly the application headers the sender passed to send_im.
   util::FlatMap<std::string, std::string> headers;
-  TimePoint received_at{};
 };
 
 struct ImClientConfig {
@@ -40,7 +40,7 @@ struct ImClientConfig {
 class ImClientApp : public gui::ClientApp {
  public:
   ImClientApp(sim::Simulator& sim, gui::Desktop& desktop, net::MessageBus& bus,
-              std::string server_address, std::string user,
+              std::string_view server_address, std::string user,
               gui::FaultProfile profile, ImClientConfig config = {});
   ~ImClientApp() override;
 
@@ -99,9 +99,10 @@ class ImClientApp : public gui::ClientApp {
   void time_out(std::uint64_t request_id);
 
   net::MessageBus& bus_;
-  std::string server_address_;
   std::string user_;
-  std::string bus_address_;
+  /// "im.client.<user>" and the server's address, interned once.
+  net::Address bus_address_;
+  net::Address server_address_;
   ImClientConfig config_;
   bool logged_in_ = false;
   std::uint64_t epoch_ = 0;

@@ -19,8 +19,9 @@ ImServer::ImServer(sim::Simulator& sim, net::MessageBus& bus,
     : sim_(sim),
       bus_(bus),
       address_(std::move(address)),
+      bus_address_(bus.intern(address_)),
       rng_(sim.make_rng("im.server." + address_)) {
-  bus_.attach(address_, [this](const net::Message& m) { handle(m); });
+  bus_.attach(bus_address_, [this](const net::Message& m) { handle(m); });
 }
 
 void ImServer::register_account(const std::string& user) {
@@ -50,13 +51,13 @@ bool ImServer::down() const { return outages_.down_at(sim_.now()); }
 void ImServer::force_logout(const std::string& user) {
   const auto it = sessions_.find(user);
   if (it == sessions_.end()) return;
-  const std::string client = it->second.client_address;
+  const net::Address client = it->second.client_address;
   if (it->second.reset_event != 0) sim_.cancel(it->second.reset_event);
   sessions_.erase(it);
   stats_.bump("forced_logouts");
   SIMBA_LOG_DEBUG("im.server", "forced logout of " + user);
   net::Message note;
-  note.from = address_;
+  note.from = bus_address_;
   note.to = client;
   note.type = proto::kLoggedOut;
   note.user = user;
@@ -84,7 +85,7 @@ void ImServer::arm_session_reset(const std::string& user) {
 
 void ImServer::reply(const net::Message& request, const char* type,
                      net::Message fields) {
-  fields.from = address_;
+  fields.from = bus_address_;
   fields.to = request.from;
   fields.type = type;
   fields.in_reply_to = request.id;
@@ -157,7 +158,7 @@ void ImServer::handle_send(const net::Message& m) {
     return;
   }
   net::Message out;
-  out.from = address_;
+  out.from = bus_address_;
   out.to = recipient->second.client_address;
   out.type = proto::kDeliver;
   out.user = m.user;

@@ -22,9 +22,11 @@ namespace simba::im {
 /// client -> server: im.login, im.logout, im.ping, im.send
 /// server -> client: im.login.ok, im.login.err, im.pong, im.send.ok,
 ///                   im.send.err, im.deliver, im.logged_out
-/// The protocol's fields are net::Message's typed members (user,
-/// to_user, epoch, in_reply_to, reason, valid); `headers` carries only
-/// the application payload of send and deliver.
+/// Each constant is one object program-wide, so net::Message::type
+/// points at it and both ends dispatch on the pointer. The protocol's
+/// fields are net::Message's typed members (user, to_user, epoch,
+/// in_reply_to, reason, valid); `headers` carries only the
+/// application payload of send and deliver.
 namespace proto {
 inline constexpr char kLogin[] = "im.login";
 inline constexpr char kLoginOk[] = "im.login.ok";
@@ -74,7 +76,7 @@ class ImServer {
  private:
   struct Session {
     std::uint64_t epoch = 0;
-    std::string client_address;
+    net::Address client_address{};
     sim::EventId reset_event = 0;
   };
 
@@ -91,6 +93,7 @@ class ImServer {
   sim::Simulator& sim_;
   net::MessageBus& bus_;
   std::string address_;
+  net::Address bus_address_;
   Rng rng_;
   util::FlatSet<std::string> accounts_;
   /// Dropped via sorted_items() on outage so logged-out notices go out

@@ -1,56 +1,47 @@
 #include "net/bus.h"
 
-#include <algorithm>
-
 #include "util/log.h"
 
 namespace simba::net {
 
-namespace {
-// View-typed key for transparent probes of the partition/link maps:
-// no strings are copied on the per-send hot path.
-std::pair<std::string_view, std::string_view> ordered(std::string_view a,
-                                                      std::string_view b) {
-  return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-}  // namespace
-
 MessageBus::MessageBus(sim::Simulator& sim)
-    : sim_(sim), rng_(sim.make_rng("net.bus")) {}
-
-void MessageBus::attach(const std::string& address, Handler handler) {
-  endpoints_[address] = std::move(handler);
-  detached_.erase(address);
+    : sim_(sim), rng_(sim.make_rng("net.bus")) {
+  intern("");  // Address{}: the empty name, never attached
 }
 
-void MessageBus::detach(const std::string& address) {
-  if (endpoints_.erase(address) > 0) detached_.insert(address);
+Address MessageBus::intern(std::string_view name) {
+  const auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  const auto address = static_cast<Address>(endpoints_.size());
+  endpoints_.push_back(Endpoint{std::string(name), nullptr});
+  ids_.emplace(name, address);
+  return address;
 }
 
-bool MessageBus::attached(const std::string& address) const {
-  return endpoints_.count(address) > 0;
+void MessageBus::attach(Address address, Handler handler) {
+  Endpoint& endpoint = endpoints_[index(address)];
+  endpoint.handler = std::move(handler);
+  endpoint.state = Endpoint::State::kAttached;
 }
 
-void MessageBus::set_link(const std::string& from, const std::string& to,
+void MessageBus::detach(Address address) {
+  Endpoint& endpoint = endpoints_[index(address)];
+  if (endpoint.state != Endpoint::State::kAttached) return;
+  endpoint.handler = nullptr;
+  endpoint.state = Endpoint::State::kDetached;
+}
+
+void MessageBus::set_link(std::string_view from, std::string_view to,
                           LinkModel model) {
-  links_[AddressPair{from, to}] = model;
+  links_[pair_key(intern(from), intern(to))] = model;
 }
 
-void MessageBus::partition(const std::string& a, const std::string& b) {
-  const auto key = ordered(a, b);
-  const auto it = partitions_.find(key);
-  if (it != partitions_.end()) {
-    it->second++;
-    return;
-  }
-  partitions_.emplace(std::make_pair(std::string(key.first),
-                                     std::string(key.second)),
-                      1);
+void MessageBus::partition(std::string_view a, std::string_view b) {
+  partitions_[unordered_key(intern(a), intern(b))]++;
 }
 
-void MessageBus::heal(const std::string& a, const std::string& b) {
-  const auto key = ordered(a, b);
-  const auto it = partitions_.find(key);
+void MessageBus::heal(std::string_view a, std::string_view b) {
+  const auto it = partitions_.find(unordered_key(intern(a), intern(b)));
   if (it == partitions_.end()) {
     // Never partitioned (or already fully healed): a no-op, so the
     // nesting count cannot underflow into a permanently-severed link.
@@ -63,11 +54,6 @@ void MessageBus::heal(const std::string& a, const std::string& b) {
 void MessageBus::set_chaos(const sim::NetChaosConfig& config, Rng rng) {
   chaos_ = config;
   chaos_rng_.emplace(std::move(rng));
-}
-
-bool MessageBus::partitioned(const std::string& a,
-                             const std::string& b) const {
-  return partitions_.find(ordered(a, b)) != partitions_.end();
 }
 
 std::string MessageBus::trace_id(const Message& message) const {
@@ -91,17 +77,19 @@ void MessageBus::trace_event(const Message& message, const char* stage,
   trace_->emit(std::move(id), "bus", stage, sim_.now(), std::move(detail));
 }
 
-const LinkModel& MessageBus::link_for(std::string_view from,
-                                      std::string_view to) const {
-  const auto it = links_.find(std::make_pair(from, to));
+const LinkModel& MessageBus::link_for(Address from, Address to) const {
+  if (links_.empty()) return default_link_;
+  const auto it = links_.find(pair_key(from, to));
   return it == links_.end() ? default_link_ : it->second;
 }
 
-const char* MessageBus::deliver_label(const std::string& type) {
-  const auto it = deliver_labels_.find(type);
-  if (it != deliver_labels_.end()) return it->second;
-  const char* label = label_interner_.intern("net.deliver:" + type);
-  deliver_labels_.emplace(type, label);
+const char* MessageBus::deliver_label(const char* type) {
+  for (const auto& [known, label] : deliver_labels_) {
+    if (known == type) return label;
+  }
+  const char* label =
+      label_interner_.intern(std::string("net.deliver:") + type);
+  deliver_labels_.emplace_back(type, label);
   return label;
 }
 
@@ -111,14 +99,13 @@ std::uint64_t MessageBus::send(Message message) {
   stats_.bump("sent");
   if (traced(message)) {
     trace_event(message, "send",
-                message.type + " " + message.from + " -> " + message.to);
+                std::string(message.type) + " " + route(message));
   }
 
   if (partitioned(message.from, message.to)) {
     stats_.bump("dropped.partition");
     trace_event(message, "drop", "partition");
-    SIMBA_LOG_DEBUG("net",
-                    "partition drop " + message.from + " -> " + message.to);
+    SIMBA_LOG_DEBUG("net", "partition drop " + route(message));
     return message.id;
   }
   if (pending_bound_ != 0 && pending() >= pending_bound_) {
@@ -127,15 +114,14 @@ std::uint64_t MessageBus::send(Message message) {
     // side sees no ack and falls back, exactly as for a loss.
     stats_.bump("pending.shed");
     trace_event(message, "shed", "pending bound");
-    SIMBA_LOG_DEBUG("net",
-                    "pending-bound shed " + message.from + " -> " + message.to);
+    SIMBA_LOG_DEBUG("net", "pending-bound shed " + route(message));
     return message.id;
   }
   const LinkModel& link = link_for(message.from, message.to);
   if (rng_.chance(link.loss_probability)) {
     stats_.bump("dropped.loss");
     trace_event(message, "drop", "loss");
-    SIMBA_LOG_DEBUG("net", "loss drop " + message.from + " -> " + message.to);
+    SIMBA_LOG_DEBUG("net", "loss drop " + route(message));
     return message.id;
   }
   Duration latency = link.sample_latency(rng_);
@@ -206,8 +192,9 @@ void MessageBus::schedule_delivery(Message message, Duration latency,
                                    bool chaos_late_loss) {
   const char* label = deliver_label(message.type);
   const std::uint32_t slot = acquire_inflight(std::move(message));
-  // (this, slot, flag) fits std::function's inline buffer: scheduling
-  // an arrival allocates nothing beyond the pooled slot itself.
+  // (this, slot, flag) is trivially copyable and 16 B, so
+  // std::function stores it inline: scheduling an arrival allocates
+  // nothing beyond the pooled slot itself.
   // simba-lint: label(one per message type; the protocol bounds the set)
   sim_.after(latency,
              [this, slot, chaos_late_loss] { arrive(slot, chaos_late_loss); },
@@ -222,33 +209,39 @@ void MessageBus::arrive(std::uint32_t slot, bool chaos_late_loss) {
     const Message& message = inflight_pool_[slot];
     // Partition state and endpoint liveness are re-checked at arrival
     // time: a link that failed mid-flight loses the message.
+    const Endpoint::State state = endpoints_[index(message.to)].state;
     if (partitioned(message.from, message.to)) {
       stats_.bump("dropped.partition");
       trace_event(message, "drop", "partition_at_arrival");
     } else if (chaos_late_loss) {
       stats_.bump("dropped.chaos_late_loss");
       trace_event(message, "drop", "chaos_late_loss");
-      SIMBA_LOG_DEBUG("net",
-                      "chaos late loss " + message.from + " -> " + message.to);
+      SIMBA_LOG_DEBUG("net", "chaos late loss " + route(message));
+    } else if (state != Endpoint::State::kAttached) {
+      const bool undeliverable = state == Endpoint::State::kDetached;
+      stats_.bump(undeliverable ? "dropped.undeliverable"
+                                : "dropped.unreachable");
+      trace_event(message, "drop",
+                  undeliverable ? "undeliverable" : "unreachable");
+      SIMBA_LOG_DEBUG("net", "no endpoint " + name(message.to));
     } else {
-      const auto it = endpoints_.find(message.to);
-      if (it == endpoints_.end()) {
-        const bool undeliverable = detached_.count(message.to) > 0;
-        stats_.bump(undeliverable ? "dropped.undeliverable"
-                                  : "dropped.unreachable");
-        trace_event(message, "drop",
-                    undeliverable ? "undeliverable" : "unreachable");
-        SIMBA_LOG_DEBUG("net", "no endpoint " + message.to);
-      } else {
-        stats_.bump("delivered");
-        if (tracing()) {
-          std::string id = trace_id(message);
-          if (!id.empty()) {
-            trace_->emit(std::move(id), "bus", "deliver", message.sent_at,
-                         sim_.now(), message.type);
-          }
+      stats_.bump("delivered");
+      if (tracing()) {
+        std::string id = trace_id(message);
+        if (!id.empty()) {
+          trace_->emit(std::move(id), "bus", "deliver", message.sent_at,
+                       sim_.now(), message.type);
         }
-        it->second(message);
+      }
+      // The handler runs from this frame, not from the table: it may
+      // detach or re-attach its own address, or attach new ones and so
+      // grow the table, without destroying or moving itself. It goes
+      // back unless its call attached a replacement or detached it.
+      Handler handler = std::move(endpoints_[index(message.to)].handler);
+      handler(message);
+      Endpoint& endpoint = endpoints_[index(message.to)];
+      if (endpoint.state == Endpoint::State::kAttached && !endpoint.handler) {
+        endpoint.handler = std::move(handler);
       }
     }
   }

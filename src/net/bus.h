@@ -1,7 +1,8 @@
 // Simulated message transport. One bus per simulation; endpoints are
-// string addresses. The IM service (im::ImServer and its
-// im::ImClientApp clients) is the only sender: e-mail and SMS travel
-// through their own servers, not over the bus.
+// named addresses, interned once into dense net::Address ids. The IM
+// service (im::ImServer and its im::ImClientApp clients) is the only
+// sender: e-mail and SMS travel through their own servers, not over
+// the bus.
 //
 // The bus models what the paper's dependability story needs:
 // per-link latency distributions (IM "< 1 second", email "seconds to
@@ -31,21 +32,24 @@
 
 namespace simba::net {
 
-/// (from, to) address-pair key for the link and partition maps. The
-/// composed util::PairStringHash/Eq are transparent, so the per-send
-/// partition check probes with a pair of string_views and builds no
-/// temporary strings.
-using AddressPair = std::pair<std::string, std::string>;
+/// An interned endpoint: an index into its bus's endpoint table
+/// (MessageBus::intern). Ids are dense, per bus, and never reused.
+/// The zero id is the empty name, which nothing attaches to, so a
+/// message sent without a `to` is counted unreachable.
+enum class Address : std::uint32_t {};
 
 /// An in-flight message: the IM wire record. `type` is the protocol
 /// discriminator (im/im_server.h `proto`), and the IM protocol's
-/// fixed fields are plain members, so a keepalive formats, parses and
-/// allocates no header text. The bus itself reads only `from`, `to`,
-/// `type` and the alert keys of `headers`; it never includes im/.
+/// fixed fields are plain members, so a keepalive copies, compares and
+/// allocates no text. The bus itself reads only `from`, `to`, `type`
+/// and the alert keys of `headers`; it never includes im/.
 struct Message {
-  std::string from;
-  std::string to;
-  std::string type;
+  Address from{};
+  Address to{};
+  /// Points at a string literal (the im/im_server.h proto constants,
+  /// one object each), so receivers dispatch on the pointer and the
+  /// bus keys its delivery labels by it.
+  const char* type = "";
   std::string body;
   /// The session's user on login, logout, ping, login.ok and
   /// logged_out; the sender on send and deliver.
@@ -88,26 +92,46 @@ class MessageBus {
 
   explicit MessageBus(sim::Simulator& sim);
 
+  /// The id of the endpoint named `name`, entered in the table on
+  /// first sight. Components intern their addresses once, when they
+  /// are built; messages carry only ids.
+  Address intern(std::string_view name);
+  /// The name `address` was interned from (spans and debug logs).
+  const std::string& name(Address address) const {
+    return endpoints_[index(address)].name;
+  }
+
   /// Registers the handler for an address, replacing any previous one.
-  void attach(const std::string& address, Handler handler);
+  /// A handler may attach or detach any address while it runs, its own
+  /// included: the running handler is neither destroyed nor moved.
+  void attach(Address address, Handler handler);
   /// Removes the endpoint; in-flight messages to it are dropped on
   /// arrival (counted as "undeliverable").
-  void detach(const std::string& address);
-  bool attached(const std::string& address) const;
+  void detach(Address address);
+  bool attached(Address address) const {
+    return endpoints_[index(address)].state == Endpoint::State::kAttached;
+  }
+  // The set-up entry points by name intern and forward.
+  void attach(std::string_view name, Handler handler) {
+    attach(intern(name), std::move(handler));
+  }
+  void detach(std::string_view name) { detach(intern(name)); }
+  bool attached(std::string_view name) { return attached(intern(name)); }
 
   /// Model applied when no per-link override matches.
   void set_default_link(LinkModel model) { default_link_ = model; }
   /// Override for the ordered pair (from, to).
-  void set_link(const std::string& from, const std::string& to,
-                LinkModel model);
+  void set_link(std::string_view from, std::string_view to, LinkModel model);
 
   /// Severs both directions between two addresses until healed.
-  void partition(const std::string& a, const std::string& b);
+  void partition(std::string_view a, std::string_view b);
   /// Undoes one matching partition(). Healing a pair that was never
   /// partitioned is a counted no-op ("heal.unmatched") — the partition
   /// count can never underflow.
-  void heal(const std::string& a, const std::string& b);
-  bool partitioned(const std::string& a, const std::string& b) const;
+  void heal(std::string_view a, std::string_view b);
+  bool partitioned(std::string_view a, std::string_view b) {
+    return partitioned(intern(a), intern(b));
+  }
 
   /// Arms chaos-driven message faults (duplicate / reorder / delay
   /// spike / late loss). The decisions roll on `rng`, a dedicated
@@ -149,7 +173,35 @@ class MessageBus {
   void set_trace(util::Trace* trace) { trace_ = trace; }
 
  private:
-  const LinkModel& link_for(std::string_view from, std::string_view to) const;
+  /// One row of the endpoint table, indexed by Address.
+  struct Endpoint {
+    /// kNever: interned but never attached ("dropped.unreachable");
+    /// kDetached: attached once and detached since
+    /// ("dropped.undeliverable").
+    enum class State : std::uint8_t { kNever, kAttached, kDetached };
+    std::string name;
+    /// Empty unless attached, and also while its own call runs:
+    /// arrive() holds the running handler in its frame.
+    Handler handler;
+    State state = State::kNever;
+  };
+
+  static std::size_t index(Address address) {
+    return static_cast<std::size_t>(address);
+  }
+  /// Map key of the ordered pair (a, b).
+  static std::uint64_t pair_key(Address a, Address b) {
+    return std::uint64_t{static_cast<std::uint32_t>(a)} << 32 |
+           static_cast<std::uint32_t>(b);
+  }
+  /// Partition key: the unordered pair {a, b}.
+  static std::uint64_t unordered_key(Address a, Address b) {
+    return a <= b ? pair_key(a, b) : pair_key(b, a);
+  }
+  bool partitioned(Address a, Address b) const {
+    return !partitions_.empty() && partitions_.contains(unordered_key(a, b));
+  }
+  const LinkModel& link_for(Address from, Address to) const;
   /// Schedules one arrival. `chaos_late_loss` kills the message at
   /// arrival time (counted "dropped.chaos_late_loss").
   void schedule_delivery(Message message, Duration latency,
@@ -161,6 +213,10 @@ class MessageBus {
   /// possible) and returns its index.
   std::uint32_t acquire_inflight(Message&& message);
   void recycle_inflight(std::uint32_t slot);
+  /// "from -> to" by name, for debug logs and span details.
+  std::string route(const Message& message) const {
+    return name(message.from) + " -> " + name(message.to);
+  }
   /// The alert id a message belongs to ("" for non-alert traffic).
   std::string trace_id(const Message& message) const;
   /// True when lifecycle tracing is armed. Call sites that build a
@@ -180,35 +236,36 @@ class MessageBus {
                    std::string detail);
   /// Stable interned "net.deliver:<type>" label for the simulator
   /// event, built once per distinct message type.
-  const char* deliver_label(const std::string& type);
+  const char* deliver_label(const char* type);
 
   sim::Simulator& sim_;
   Rng rng_;
-  /// Lookup-only flat maps (DESIGN.md §16): nothing iterates these, so
-  /// insertion-order traversal is irrelevant and every per-send /
-  /// per-arrival probe is a single open-addressing hash lookup.
-  util::FlatMap<std::string, Handler> endpoints_;
-  util::FlatMap<AddressPair, LinkModel> links_;
-  util::FlatMap<AddressPair, int> partitions_;
+  /// The endpoint table, indexed by Address, and its name index, used
+  /// only by intern(). A running handler lives in arrive()'s frame, so
+  /// the table may grow (and move its rows) while one runs.
+  std::vector<Endpoint> endpoints_;
+  util::FlatMap<std::string, Address> ids_;
+  /// Keyed by pair_key / unordered_key. Nothing in a world sets links
+  /// or partitions (only tests do), and a send probes neither map
+  /// while it is empty.
+  util::FlatMap<std::uint64_t, LinkModel> links_;
+  util::FlatMap<std::uint64_t, int> partitions_;
   LinkModel default_link_;
-  /// Addresses that were attached once and detached since; in-flight
-  /// messages to them count under "dropped.undeliverable" rather than
-  /// "dropped.unreachable" (never-attached).
-  util::FlatSet<std::string> detached_;
   sim::NetChaosConfig chaos_;
   std::optional<Rng> chaos_rng_;
   std::uint64_t next_id_ = 1;
   Counters stats_;
   util::Trace* trace_ = nullptr;
   /// Event labels handed to the simulator must outlive their events;
-  /// the interner owns them, the cache makes the per-send lookup a
-  /// single allocation-free transparent map probe.
+  /// the interner owns them. The (type, label) pairs are searched by
+  /// type pointer: the protocol's 11 types bound the scan.
   util::StringInterner label_interner_;
-  util::FlatMap<std::string, const char*> deliver_labels_;
+  std::vector<std::pair<const char*, const char*>> deliver_labels_;
   /// In-flight message pool (DESIGN.md §13). A message awaiting
   /// arrival lives in a pooled slot so the delivery closure captures
-  /// only (this, slot, late_loss) — small enough for std::function's
-  /// inline buffer, making a send schedule its arrival with no
+  /// only (this, slot, late_loss): trivially copyable and at most
+  /// 16 B, the two conditions under which libstdc++'s std::function
+  /// stores a target inline, so a send schedules its arrival with no
   /// per-send closure allocation. std::deque keeps slot references
   /// stable while handlers send (and thus grow the pool) mid-arrival;
   /// a chaos duplicate occupies its own slot. Slots recycle after the

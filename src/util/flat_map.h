@@ -81,37 +81,13 @@ struct StringEq {
   }
 };
 
-/// Composed hash over (from, to) address pairs: lets the bus link and
-/// partition maps be probed with a pair of string_views, so the
-/// per-send partition check builds no temporary strings (the FlatMap
-/// analog of the old AddressPairLess transparent comparator).
-struct PairStringHash {
-  using is_transparent = void;
-  template <typename P>
-  std::uint64_t operator()(const P& p) const {
-    const std::uint64_t a = fnv1a(std::string_view(p.first));
-    const std::uint64_t b = fnv1a(std::string_view(p.second));
-    return mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
-  }
-};
-
-struct PairStringEq {
-  using is_transparent = void;
-  template <typename A, typename B>
-  bool operator()(const A& a, const B& b) const {
-    return std::string_view(a.first) == std::string_view(b.first) &&
-           std::string_view(a.second) == std::string_view(b.second);
-  }
-};
-
 struct IntHash {
   using is_transparent = void;
   std::uint64_t operator()(std::uint64_t v) const { return mix64(v); }
 };
 
 /// Default hash/eq selection by key type. Integral keys mix through
-/// splitmix64; string-ish and (string, string) pair keys get the
-/// transparent functors above.
+/// splitmix64; string-ish keys get the transparent functors above.
 template <typename Key>
 struct FlatHashFor {
   static_assert(std::is_integral_v<Key>,
@@ -128,11 +104,6 @@ template <>
 struct FlatHashFor<std::string_view> {
   using Hash = StringHash;
   using Eq = StringEq;
-};
-template <>
-struct FlatHashFor<std::pair<std::string, std::string>> {
-  using Hash = PairStringHash;
-  using Eq = PairStringEq;
 };
 
 /// Open-addressing hash map: power-of-two bucket array of 32-bit slot

@@ -31,10 +31,11 @@ class ImManagerTest : public ::testing::Test {
   SanityReport check() {
     SanityReport report;
     bool done = false;
-    manager_->sanity_check([&](SanityReport r) {
-      report = std::move(r);
+    manager_->set_on_report([&](const SanityReport& r) {
+      report = r;
       done = true;
     });
+    manager_->sanity_check();
     sim_.run_for(seconds(30));
     EXPECT_TRUE(done);
     return report;
@@ -253,7 +254,8 @@ TEST_F(EmailManagerTest, SanityDetectsRelayOutage) {
   plan.add(sim_.now(), hours(1));
   server_.set_outage_plan(plan);
   SanityReport report;
-  manager_->sanity_check([&](SanityReport r) { report = std::move(r); });
+  manager_->set_on_report([&](const SanityReport& r) { report = r; });
+  manager_->sanity_check();
   EXPECT_FALSE(report.healthy);
   EXPECT_FALSE(report.needs_restart);
 }
@@ -262,7 +264,8 @@ TEST_F(EmailManagerTest, SanityRestartsHungClient) {
   make();
   client_->force_hang();
   SanityReport report;
-  manager_->sanity_check([&](SanityReport r) { report = std::move(r); });
+  manager_->set_on_report([&](const SanityReport& r) { report = r; });
+  manager_->sanity_check();
   EXPECT_TRUE(report.needs_restart);
   EXPECT_TRUE(client_->running());
 }

@@ -69,16 +69,6 @@ TEST(FlatMap, TransparentLookupTakesStringView) {
   ASSERT_NE(m.find(sv), m.end());
   EXPECT_EQ(m.find(sv)->second, 7);
   EXPECT_EQ(m.at(sv), 7);
-
-  // Composed pair keys probe with pair<string_view, string_view>.
-  FlatMap<std::pair<std::string, std::string>, int> links;
-  links[std::pair<std::string, std::string>{"gui", "portal"}] = 3;
-  const std::pair<std::string_view, std::string_view> probe{"gui", "portal"};
-  EXPECT_TRUE(links.contains(probe));
-  ASSERT_NE(links.find(probe), links.end());
-  EXPECT_EQ(links.find(probe)->second, 3);
-  EXPECT_FALSE(
-      links.contains(std::pair<std::string_view, std::string_view>{"x", "y"}));
 }
 
 TEST(FlatMap, EmplaceNeverOverwrites) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -280,10 +281,10 @@ class ImWireTest : public ImTest {
   }
 
   /// Sends a frame of `type` from `from` to `to`; returns its bus id.
-  std::uint64_t send(const std::string& from, const std::string& to,
+  std::uint64_t send(std::string_view from, std::string_view to,
                      const char* type, net::Message m = {}) {
-    m.from = from;
-    m.to = to;
+    m.from = bus_.intern(from);
+    m.to = bus_.intern(to);
     m.type = type;
     return bus_.send(std::move(m));
   }
@@ -309,7 +310,7 @@ TEST_F(ImWireTest, ClientRequestsCarryTypedFieldsAndNoHeaders) {
   sim_.run_for(seconds(1));
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, proto::kLogin);
-  EXPECT_EQ(frames[0].from, "im.client.alice");
+  EXPECT_EQ(bus_.name(frames[0].from), "im.client.alice");
   EXPECT_EQ(frames[0].user, "alice");
   EXPECT_TRUE(frames[0].headers.empty());
 

@@ -515,6 +515,61 @@ TEST_F(MabTest, ImServiceOutageHealsViaSanityRelogin) {
 }
 
 
+TEST(MabVariantTest, StaleSanityReportBumpsNothingOnTheSuccessor) {
+  // Two incarnations over one pair of managers, as MabHost runs them.
+  // The first dies while its IM sanity check waits on a ping the
+  // silent server never answers; the second is already running when
+  // that check times out and reports unhealthy.
+  World world;
+  gui::Desktop desktop(world.sim);
+  world.im_server.register_account("alice.mab");
+  world.email_server.create_mailbox("alice.mab@simba.example.net");
+  im::ImClientApp im_client(world.sim, desktop, world.bus,
+                            world.im_server.address(), "alice.mab",
+                            gui::FaultProfile{});
+  email::EmailClientApp email_client(
+      world.sim, desktop, world.email_server, "alice.mab@simba.example.net",
+      gui::FaultProfile{}, email::EmailClientConfig{});
+  automation::ImManager im(world.sim, desktop, im_client);
+  automation::EmailManager email(world.sim, desktop, email_client);
+  im.start();
+  email.start();
+  MabConfig config = make_config();
+  AlertLog log;
+  DigestStore digest;
+  AlertCoalescer coalescer;
+  auto spawn = [&](const char* stream) {
+    auto mab = std::make_unique<MyAlertBuddy>(world.sim, config, log, digest,
+                                              coalescer, im, email,
+                                              MabOptions{},
+                                              world.sim.make_rng(stream));
+    mab->start();
+    return mab;
+  };
+  auto first = spawn("mab.1");
+  world.sim.run_for(seconds(30));  // signed in
+
+  // The service goes silent: a sanity ping now times out after 10 s
+  // and reports the IM channel unhealthy.
+  sim::OutagePlan outage;
+  outage.add(world.sim.now(), hours(1));
+  world.im_server.set_outage_plan(outage);
+  world.sim.run_for(seconds(31));  // the first tick (60 s) sent its ping
+  ASSERT_EQ(im.stats().get("sanity_checks"), 1);
+  first.reset();
+  auto second = spawn("mab.2");
+
+  world.sim.run_for(seconds(15));  // the stale check timed out at 70 s
+  EXPECT_EQ(im.stats().get("verify_timeouts"), 1);
+  EXPECT_EQ(second->stats().get("sanity.im_unhealthy"), 0);
+
+  // The successor hears its own checks: its first tick (121 s) times
+  // out at 131 s.
+  world.sim.run_for(minutes(1));
+  EXPECT_EQ(im.stats().get("verify_timeouts"), 2);
+  EXPECT_EQ(second->stats().get("sanity.im_unhealthy"), 1);
+}
+
 TEST(MabVariantTest, CrashLoopExceedsThresholdAndRebootsMachine) {
   // A MAB that hangs within seconds of every start: the MDC's restarts
   // keep failing, and past the threshold it reboots the machine

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/bus.h"
@@ -14,24 +16,24 @@ namespace {
 
 class BusTest : public ::testing::Test {
  protected:
+  Message make(std::string_view from, std::string_view to) {
+    Message m;
+    m.from = bus_.intern(from);
+    m.to = bus_.intern(to);
+    m.type = "test";
+    m.body = "hello";
+    return m;
+  }
+
   sim::Simulator sim_{1};
   MessageBus bus_{sim_};
 };
-
-Message make(const std::string& from, const std::string& to) {
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.type = "test";
-  m.body = "hello";
-  return m;
-}
 
 TEST_F(BusTest, DeliversToAttachedEndpoint) {
   int received = 0;
   bus_.attach("b", [&](const Message& m) {
     EXPECT_EQ(m.body, "hello");
-    EXPECT_EQ(m.from, "a");
+    EXPECT_EQ(bus_.name(m.from), "a");
     ++received;
   });
   bus_.send(make("a", "b"));
@@ -194,6 +196,109 @@ TEST_F(BusTest, HeadersSurviveTransit) {
   EXPECT_EQ(got, "x-1");
 }
 
+// --- Interned endpoints ----------------------------------------------------
+
+TEST_F(BusTest, InternIsStableAndNamesResolve) {
+  const Address a = bus_.intern("a");
+  EXPECT_EQ(bus_.intern("a"), a);
+  EXPECT_NE(bus_.intern("b"), a);
+  EXPECT_EQ(bus_.name(a), "a");
+  // The zero id is the empty name, and nothing is attached there.
+  EXPECT_EQ(bus_.intern(""), Address{});
+  EXPECT_FALSE(bus_.attached(Address{}));
+}
+
+TEST_F(BusTest, DropsByIdKeepTheirMeanings) {
+  const Address never = bus_.intern("never");
+  const Address gone = bus_.intern("gone");
+  bus_.attach(gone, [](const Message&) {});
+  bus_.detach(gone);
+  Message m = make("a", "b");
+  m.to = never;
+  bus_.send(m);
+  m.to = gone;
+  bus_.send(m);
+  sim_.run();
+  EXPECT_EQ(bus_.stats().get("dropped.unreachable"), 1);
+  EXPECT_EQ(bus_.stats().get("dropped.undeliverable"), 1);
+  EXPECT_EQ(bus_.stats().get("delivered"), 0);
+}
+
+TEST_F(BusTest, PartitionSetByNameDropsTrafficById) {
+  int received = 0;
+  // Partitioned before either side interned its address.
+  bus_.partition("x", "y");
+  bus_.attach("x", [&](const Message&) { ++received; });
+  bus_.attach("y", [&](const Message&) { ++received; });
+  bus_.send(make("x", "y"));
+  bus_.send(make("y", "x"));
+  sim_.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(bus_.stats().get("dropped.partition"), 2);
+}
+
+// A handler acting on the bus while it runs. Its closure reads its own
+// captures after acting, so under ASan a handler destroyed or moved
+// mid-call is a use-after-free. Closures that capture a std::string
+// live on the heap (libstdc++ stores only trivially copyable targets
+// of at most 16 B inline): destroying one frees it. A (this, pointer)
+// closure lives inside the std::function: moving the table's rows
+// frees it.
+
+TEST_F(BusTest, HandlerMayDetachItsOwnAddress) {
+  std::vector<std::string> seen;
+  const std::string tag(64, 'd');
+  bus_.attach("b", [this, &seen, tag](const Message&) {
+    bus_.detach("b");
+    seen.push_back(tag);
+  });
+  bus_.send(make("a", "b"));
+  sim_.run();
+  bus_.send(make("a", "b"));
+  sim_.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], tag);
+  EXPECT_FALSE(bus_.attached("b"));
+  EXPECT_EQ(bus_.stats().get("dropped.undeliverable"), 1);
+}
+
+TEST_F(BusTest, HandlerMayReattachItsOwnAddress) {
+  // A client restart from inside its own message handler.
+  std::vector<std::string> seen;
+  const std::string tag(64, 'o');
+  bus_.attach("b", [this, &seen, tag](const Message&) {
+    bus_.detach("b");
+    bus_.attach("b", [&seen](const Message&) { seen.push_back("new"); });
+    seen.push_back(tag);
+  });
+  bus_.send(make("a", "b"));
+  sim_.run();
+  bus_.send(make("a", "b"));
+  sim_.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{tag, "new"}));
+  EXPECT_EQ(bus_.stats().get("dropped.undeliverable"), 0);
+}
+
+TEST_F(BusTest, HandlerMayGrowTheEndpointTable) {
+  int calls = 0;
+  int grown = 0;
+  bus_.attach("b", [this, counter = &calls](const Message&) {
+    for (int i = 0; i < 1000; ++i) {
+      bus_.attach(std::to_string(i), [](const Message&) {});
+    }
+    ++*counter;
+  });
+  bus_.attach("999", [&grown](const Message&) { ++grown; });
+  bus_.send(make("a", "b"));
+  sim_.run();
+  bus_.send(make("a", "b"));
+  bus_.send(make("a", "999"));
+  sim_.run();
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(grown, 0);  // the handler re-attached "999" with its own
+  EXPECT_EQ(bus_.stats().get("delivered"), 3);
+}
+
 // --- Chaos injection (sim/chaos.h) -----------------------------------------
 
 sim::NetChaosAxis always(TimePoint until) {
@@ -266,8 +371,8 @@ TEST_P(BusLossSweep, ObservedLossTracksModel) {
   bus.attach("b", [&](const Message&) { ++received; });
   const int n = 2000;
   Message proto;
-  proto.from = "a";
-  proto.to = "b";
+  proto.from = bus.intern("a");
+  proto.to = bus.intern("b");
   proto.type = "t";
   for (int i = 0; i < n; ++i) {
     bus.send(proto);

@@ -249,9 +249,9 @@ TEST(BusBoundTest, PendingBoundShedsWithExplicitAccounting) {
   bus.set_pending_bound(1);
   for (int i = 0; i < 3; ++i) {
     net::Message message;
-    message.from.assign(1, 'a');
-    message.to.assign(1, 'b');
-    message.type.assign(1, 't');
+    message.from = bus.intern("a");
+    message.to = bus.intern("b");
+    message.type = "t";
     bus.send(std::move(message));
   }
   EXPECT_EQ(bus.stats().get("pending.shed"), 2);
