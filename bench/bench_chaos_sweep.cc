@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
             return fleet::run_chaos_shard(task, workload);
           });
       for (const auto& [name, value] : report.counters.all()) {
-        merged.bump(name, value);
+        merged.add(name, value);
       }
       merged_trace.merge(std::move(report.trace));
       wall += report.wall_seconds;

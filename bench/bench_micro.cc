@@ -122,7 +122,7 @@ void BM_BusRoundTrip(benchmark::State& state) {
   proto.to = bus.intern("b");
   proto.type = "t";
   for (auto _ : state) {
-    bus.send(proto);
+    bus.send(net::Message(proto));
     sim.run();
   }
   benchmark::DoNotOptimize(received);

@@ -53,11 +53,11 @@ void HomeNetwork::unlisten(ListenerId id) {
 void HomeNetwork::transmit(HomeSignal signal) {
   signal.transmitted_at = sim_.now();
   const MediumModel& model = models_.at(signal.medium);
-  stats_.bump(std::string("tx.") + to_string(signal.medium));
+  stats_.add(std::string("tx.") + to_string(signal.medium));
   for (const auto& listener : listeners_) {
     if (listener.medium != signal.medium) continue;
     if (rng_.chance(model.loss_probability)) {
-      stats_.bump(std::string("lost.") + to_string(signal.medium));
+      stats_.add(std::string("lost.") + to_string(signal.medium));
       continue;
     }
     const Duration latency =

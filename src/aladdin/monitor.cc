@@ -114,7 +114,7 @@ void HomeGatewayServer::on_event(const sss::Event& event) {
   alert.attributes["device"] = event.variable.name;
   alert.attributes["state"] = event.variable.value;
   stats_.bump("alerts_generated");
-  log_info("aladdin.gateway", "alert: " + alert.subject);
+  SIMBA_LOG_INFO("aladdin.gateway", "alert: " + alert.subject);
   if (sink_) sink_(alert);
 }
 

@@ -73,8 +73,8 @@ void RemoteAutomation::handle(const email::Email& mail) {
     return;
   }
   stats_.bump("accepted");
-  log_info("aladdin.automation",
-           "actuating " + device + (on ? " ON" : " OFF"));
+  SIMBA_LOG_INFO("aladdin.automation",
+                 "actuating " + device + (on ? " ON" : " OFF"));
   // The command module rides the powerline, like everything in-home.
   HomeSignal frame;
   frame.source_id = device;

@@ -84,7 +84,7 @@ void DesktopAssistant::emit(const std::string& category,
   alert.id = strformat("assistant-%llu",
                        static_cast<unsigned long long>(next_alert_++));
   stats_.bump("alerts_generated");
-  log_info("assistant", "alert: " + subject);
+  SIMBA_LOG_INFO("assistant", "alert: " + subject);
   if (sink_) sink_(alert);
 }
 

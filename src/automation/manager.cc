@@ -33,7 +33,7 @@ CommunicationManager::~CommunicationManager() { monkey_task_.cancel(); }
 
 void CommunicationManager::restart() {
   stats_.bump("restarts");
-  log_info(name_, "shutdown/restart of " + app_.name());
+  SIMBA_LOG_INFO(name_, "shutdown/restart of " + app_.name());
   app_.kill();
   app_.launch();
   refresh_pointer();
@@ -57,8 +57,8 @@ void CommunicationManager::finish(std::uint64_t epoch, SanityReport report) {
 void CommunicationManager::add_caption_pair(
     const std::string& caption_substring, const std::string& button) {
   captions_.add(caption_substring, button);
-  log_info(name_, "caption pair added: \"" + caption_substring + "\" -> [" +
-                      button + "]");
+  SIMBA_LOG_INFO(name_, "caption pair added: \"" + caption_substring +
+                            "\" -> [" + button + "]");
 }
 
 void CommunicationManager::start_monkey(Duration interval) {

@@ -56,7 +56,7 @@ void DeliveryEngine::deliver(const Alert& alert, const AddressBook& addresses,
     // Lane full: shed with explicit accounting. `done` still fires so
     // upstream conservation sees the outcome.
     stats_.bump("deliveries_shed");
-    stats_.bump(std::string("lanes.shed.") + to_string(priority));
+    stats_.add(std::string("lanes.shed.") + to_string(priority));
     if (traced()) {
       trace_event(d, "shed",
                   strformat("%s lane full (%zu queued)", to_string(priority),
@@ -69,7 +69,7 @@ void DeliveryEngine::deliver(const Alert& alert, const AddressBook& addresses,
     if (d.done) d.done(outcome);
     return;
   }
-  stats_.bump(std::string("lanes.enqueued.") + to_string(priority));
+  stats_.add(std::string("lanes.enqueued.") + to_string(priority));
   if (traced()) {
     trace_event(d, "enqueue",
                 strformat("%s lane, %zu ahead", to_string(priority),
@@ -298,8 +298,9 @@ void DeliveryEngine::start_action(std::uint64_t delivery_id,
         if (dit == deliveries_.end()) return;
         Delivery& del = dit->second;
         del.messages_sent++;
-        stats_.bump(address->type == CommType::kSms ? "messages.sms"
-                                                    : "messages.email");
+        stats_.bump(address->type == CommType::kSms
+                        ? CounterName("messages.sms")
+                        : CounterName("messages.email"));
         if (del.block_awaits_ack) {
           // Weak success: remembered, but the block keeps waiting for
           // the strong (acknowledged) signal until its timeout.
@@ -400,7 +401,8 @@ void DeliveryEngine::finish(std::uint64_t delivery_id, bool delivered,
   outcome.messages_sent = d.messages_sent;
   outcome.completed_at = sim_.now();
   outcome.detail = detail;
-  stats_.bump(delivered ? "deliveries_succeeded" : "deliveries_failed");
+  stats_.bump(delivered ? CounterName("deliveries_succeeded")
+                        : CounterName("deliveries_failed"));
   if (trace_ != nullptr) {
     if (delivered) {
       trace_->emit(d.alert.id, "delivery", "block", d.block_started_at,

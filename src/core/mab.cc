@@ -69,7 +69,7 @@ MyAlertBuddy::~MyAlertBuddy() {
 }
 
 void MyAlertBuddy::start() {
-  log_info("mab", "MyAlertBuddy starting");
+  SIMBA_LOG_INFO("mab", "MyAlertBuddy starting");
 
   // Windows open when the previous incarnation died flush now: their
   // scheduled flush events died with that incarnation's alive token,
@@ -84,8 +84,8 @@ void MyAlertBuddy::start() {
     const auto pending = log_.unprocessed();
     if (!pending.empty()) {
       stats_.bump("recovery_replays", static_cast<std::int64_t>(pending.size()));
-      log_info("mab", strformat("recovering %zu unprocessed alert(s)",
-                                pending.size()));
+      SIMBA_LOG_INFO("mab", strformat("recovering %zu unprocessed alert(s)",
+                                      pending.size()));
       for (const auto& alert : pending) {
         trace_event(alert.id, "recovery_replay",
                     "restart scan found unprocessed alert");
@@ -157,7 +157,7 @@ void MyAlertBuddy::request_shutdown(const std::string& reason) {
   if (!running_) return;
   running_ = false;
   stats_.bump("graceful_shutdowns");
-  log_info("mab", "graceful shutdown: " + reason);
+  SIMBA_LOG_INFO("mab", "graceful shutdown: " + reason);
   sweep_task_.cancel();
   sanity_task_.cancel();
   stabilization_task_.cancel();
@@ -560,8 +560,9 @@ void MyAlertBuddy::route(const Alert& alert, const std::string& category) {
             if (shed_observer_) shed_observer_(alert_id, sim_.now());
             return;
           }
-          stats_.bump(outcome.delivered ? "routing.delivered"
-                                        : "routing.undeliverable");
+          stats_.bump(outcome.delivered
+                          ? CounterName("routing.delivered")
+                          : CounterName("routing.undeliverable"));
         },
         priority);
   }
@@ -592,8 +593,8 @@ void MyAlertBuddy::send_digest(const char* trigger) {
   const Status status = email_.send_email(std::move(mail));
   if (status.ok()) {
     stats_.bump("digest.sent");
-    log_info("mab", strformat("digest (%s) sent with %zu alert(s)", trigger,
-                              digest_.size()));
+    SIMBA_LOG_INFO("mab", strformat("digest (%s) sent with %zu alert(s)",
+                                    trigger, digest_.size()));
     digest_.drain();
   } else {
     // Keep everything retained; tomorrow's digest retries.
@@ -608,7 +609,7 @@ void MyAlertBuddy::send_digest(const char* trigger) {
 void MyAlertBuddy::handle_command(const std::string& text,
                                   const std::string& from_user) {
   stats_.bump("commands");
-  log_info("mab", "command from " + from_user + ": " + text);
+  SIMBA_LOG_INFO("mab", "command from " + from_user + ": " + text);
   const std::string upper = to_lower(text);
   if (icontains(text, "SIMBA REJUVENATE")) {
     request_shutdown("remote rejuvenation command");
@@ -627,8 +628,8 @@ void MyAlertBuddy::handle_command(const std::string& text,
     const std::string name(trim(text.substr(pos + needle.size())));
     const Status status =
         config_.profile.addresses().set_enabled(name, enabled);
-    stats_.bump(status.ok() ? "commands.address_toggled"
-                            : "commands.failed");
+    stats_.bump(status.ok() ? CounterName("commands.address_toggled")
+                            : CounterName("commands.failed"));
     return true;
   };
   if (address_command("disable", false)) return;

@@ -68,7 +68,7 @@ void MabHost::start() { boot(); }
 void MabHost::boot() {
   machine_up_ = true;
   stats_.bump("boots");
-  log_info("host." + options_.owner, "machine booted");
+  SIMBA_LOG_INFO("host." + options_.owner, "machine booted");
   im_manager_->start();  // launches the IM client and signs in
   email_manager_->start();
   if (!options_.monkey_enabled) {
@@ -90,7 +90,8 @@ void MabHost::spawn_mab() {
       sim_.make_rng("mab." + options_.owner + "." +
                     std::to_string(mab_incarnations_)));
   mab_->set_on_terminated([this](const std::string& reason, bool expected) {
-    stats_.bump(expected ? "mab_shutdowns" : "mab_failures");
+    stats_.bump(expected ? CounterName("mab_shutdowns")
+                         : CounterName("mab_failures"));
     // Destroying the incarnation inside its own callback frame is not
     // safe; defer to the next event, then let the MDC schedule the
     // relaunch (it already knows). Without the watchdog (E8 ablation)
@@ -154,7 +155,7 @@ void MabHost::nightly_rejuvenation() {
   nightly_event_ = 0;
   if (machine_up_) {
     stats_.bump("nightly_rejuvenations");
-    log_info("host." + options_.owner, "nightly rejuvenation at 23:30");
+    SIMBA_LOG_INFO("host." + options_.owner, "nightly rejuvenation at 23:30");
     // "requests an orderly shutdown of all the communication client
     // software and terminates itself."
     if (mab_) mab_->request_shutdown("nightly rejuvenation");

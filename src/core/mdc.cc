@@ -50,8 +50,9 @@ void MasterDaemonController::heartbeat() {
 void MasterDaemonController::notify_terminated(const std::string& reason,
                                                bool expected) {
   if (pending_restart_ != 0) return;
-  stats_.bump(expected ? "terminations.expected" : "terminations.unexpected");
-  log_info("mdc", "MyAlertBuddy terminated (" + reason + ")");
+  stats_.bump(expected ? CounterName("terminations.expected")
+                       : CounterName("terminations.unexpected"));
+  SIMBA_LOG_INFO("mdc", "MyAlertBuddy terminated (" + reason + ")");
   schedule_restart(reason, expected);
 }
 
@@ -76,7 +77,7 @@ void MasterDaemonController::schedule_restart(const std::string& cause,
       options_.restart_delay,
       [this, cause] {
         pending_restart_ = 0;
-        log_info("mdc", "relaunching MyAlertBuddy after: " + cause);
+        SIMBA_LOG_INFO("mdc", "relaunching MyAlertBuddy after: " + cause);
         daemon_up_ = true;
         if (restart_) restart_();
       },

@@ -83,8 +83,9 @@ void SourceEndpoint::send_alert(const Alert& alert,
   stats_.bump("alerts_sent");
   engine_->deliver(alert, target_, mode_,
                    [this, done = std::move(done)](const DeliveryOutcome& o) {
-                     stats_.bump(o.delivered ? "alerts_delivered"
-                                             : "alerts_undeliverable");
+                     stats_.bump(o.delivered
+                                     ? CounterName("alerts_delivered")
+                                     : CounterName("alerts_undeliverable"));
                      if (done) done(o);
                    });
 }

@@ -137,7 +137,7 @@ void UserEndpoint::record(const std::string& alert_id,
     sighting.first = at;
     sighting.channel = channel;
     stats_.bump("alerts_seen");
-    stats_.bump("seen_via_" + channel);
+    stats_.add("seen_via_" + channel);
   } else {
     // "We use timestamps to allow the user to detect and discard
     // duplicates."

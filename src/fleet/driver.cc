@@ -219,7 +219,7 @@ void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
 void copy_counters_with_prefix(const Counters& from, const std::string& prefix,
                                Counters& into) {
   for (const auto& [name, value] : from.all()) {
-    if (name.rfind(prefix, 0) == 0) into.bump(name, value);
+    if (name.rfind(prefix, 0) == 0) into.add(name, value);
   }
 }
 

@@ -67,7 +67,7 @@ net::Message ImClientApp::to_server(const char* type) const {
   return m;
 }
 
-void ImClientApp::send_rpc(net::Message request,
+void ImClientApp::send_rpc(net::Message&& request,
                            std::function<void(Status)> done,
                            const char* what) {
   const std::uint64_t id = bus_.send(std::move(request));

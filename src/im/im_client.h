@@ -94,7 +94,7 @@ class ImClientApp : public gui::ClientApp {
   void handle_bus(const net::Message& m);
   void complete_rpc(std::uint64_t request_id, Status status);
   /// Sends `request` and arms its timeout; `what` must be a literal.
-  void send_rpc(net::Message request, std::function<void(Status)> done,
+  void send_rpc(net::Message&& request, std::function<void(Status)> done,
                 const char* what);
   void time_out(std::uint64_t request_id);
 

@@ -84,7 +84,7 @@ void ImServer::arm_session_reset(const std::string& user) {
 }
 
 void ImServer::reply(const net::Message& request, const char* type,
-                     net::Message fields) {
+                     net::Message&& fields) {
   fields.from = bus_address_;
   fields.to = request.from;
   fields.type = type;

@@ -86,7 +86,7 @@ class ImServer {
   /// Sends `fields` back to the request's sender as a `type` reply
   /// naming the request's id.
   void reply(const net::Message& request, const char* type,
-             net::Message fields = {});
+             net::Message&& fields = {});
   void drop_all_sessions();
   void arm_session_reset(const std::string& user);
 

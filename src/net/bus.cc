@@ -93,7 +93,7 @@ const char* MessageBus::deliver_label(const char* type) {
   return label;
 }
 
-std::uint64_t MessageBus::send(Message message) {
+std::uint64_t MessageBus::send(Message&& message) {
   message.id = next_id_++;
   message.sent_at = sim_.now();
   stats_.bump("sent");
@@ -159,7 +159,7 @@ std::uint64_t MessageBus::send(Message message) {
       // (same id) with its own independently-sampled latency.
       stats_.bump("chaos.duplicate");
       if (tracing()) trace_event(message, "duplicate", message.type);
-      schedule_delivery(message, link.sample_latency(*chaos_rng_),
+      schedule_delivery(Message(message), link.sample_latency(*chaos_rng_),
                         /*chaos_late_loss=*/false);
     }
   }
@@ -188,7 +188,7 @@ void MessageBus::recycle_inflight(std::uint32_t slot) {
   inflight_free_.push_back(slot);
 }
 
-void MessageBus::schedule_delivery(Message message, Duration latency,
+void MessageBus::schedule_delivery(Message&& message, Duration latency,
                                    bool chaos_late_loss) {
   const char* label = deliver_label(message.type);
   const std::uint32_t slot = acquire_inflight(std::move(message));
@@ -219,14 +219,14 @@ void MessageBus::arrive(std::uint32_t slot, bool chaos_late_loss) {
       SIMBA_LOG_DEBUG("net", "chaos late loss " + route(message));
     } else if (state != Endpoint::State::kAttached) {
       const bool undeliverable = state == Endpoint::State::kDetached;
-      stats_.bump(undeliverable ? "dropped.undeliverable"
-                                : "dropped.unreachable");
+      stats_.bump(undeliverable ? CounterName("dropped.undeliverable")
+                                : CounterName("dropped.unreachable"));
       trace_event(message, "drop",
                   undeliverable ? "undeliverable" : "unreachable");
       SIMBA_LOG_DEBUG("net", "no endpoint " + name(message.to));
     } else {
       stats_.bump("delivered");
-      if (tracing()) {
+      if (traced(message)) {
         std::string id = trace_id(message);
         if (!id.empty()) {
           trace_->emit(std::move(id), "bus", "deliver", message.sent_at,

@@ -140,8 +140,10 @@ class MessageBus {
   void set_chaos(const sim::NetChaosConfig& config, Rng rng);
 
   /// Sends a message. Delivery (or loss) is decided now; arrival is a
-  /// scheduled simulator event. Returns the assigned message id.
-  std::uint64_t send(Message message);
+  /// scheduled simulator event. Returns the assigned message id. The
+  /// message is moved once, into its in-flight slot; a caller that
+  /// keeps its own copy passes `Message(copy)`.
+  std::uint64_t send(Message&& message);
 
   /// Bounds the number of messages concurrently in flight; a send over
   /// the bound is shed with explicit accounting ("pending.shed")
@@ -204,7 +206,7 @@ class MessageBus {
   const LinkModel& link_for(Address from, Address to) const;
   /// Schedules one arrival. `chaos_late_loss` kills the message at
   /// arrival time (counted "dropped.chaos_late_loss").
-  void schedule_delivery(Message message, Duration latency,
+  void schedule_delivery(Message&& message, Duration latency,
                          bool chaos_late_loss);
   /// Runs one arrival (the delivery-event body) for the pooled
   /// message in `slot`, then recycles the slot.

@@ -114,7 +114,7 @@ void AlertProxy::poll(WatchId id) {
                              static_cast<unsigned long long>(next_alert_++));
         alert.attributes["url"] = w.config.url;
         stats_.bump("alerts_generated");
-        log_info("proxy", "change detected at " + w.config.url);
+        SIMBA_LOG_INFO("proxy", "change detected at " + w.config.url);
         if (w.sink) w.sink(alert);
       },
       "proxy.fetch");

@@ -138,24 +138,24 @@ InvariantChecker::Report InvariantChecker::check(
 
 void InvariantChecker::Report::export_to(Counters& counters,
                                          const std::string& prefix) const {
-  counters.bump(prefix + "submitted", submitted);
-  counters.bump(prefix + "delivered", delivered);
-  counters.bump(prefix + "failed", failed);
-  counters.bump(prefix + "shed", shed);
-  counters.bump(prefix + "coalesced", coalesced);
-  counters.bump(prefix + "in_flight", in_flight);
-  counters.bump(prefix + "duplicate_sightings", duplicate_sightings);
-  counters.bump(prefix + "double_accounted", double_accounted);
-  counters.bump(prefix + "acked", acked);
-  counters.bump(prefix + "logged", logged);
-  counters.bump(prefix + "violations.phantom", phantom_deliveries);
-  counters.bump(prefix + "violations.ack_unlogged", ack_unlogged);
-  counters.bump(prefix + "violations.log_vanished", log_vanished);
-  counters.bump(prefix + "violations.vanished", vanished);
-  counters.bump(prefix + "violations.illegal_duplicates", illegal_duplicates);
-  counters.bump(prefix + "violations.double_accounted",
-                illegal_double_accounted);
-  counters.bump(prefix + "violations.total", violations());
+  counters.add(prefix + "submitted", submitted);
+  counters.add(prefix + "delivered", delivered);
+  counters.add(prefix + "failed", failed);
+  counters.add(prefix + "shed", shed);
+  counters.add(prefix + "coalesced", coalesced);
+  counters.add(prefix + "in_flight", in_flight);
+  counters.add(prefix + "duplicate_sightings", duplicate_sightings);
+  counters.add(prefix + "double_accounted", double_accounted);
+  counters.add(prefix + "acked", acked);
+  counters.add(prefix + "logged", logged);
+  counters.add(prefix + "violations.phantom", phantom_deliveries);
+  counters.add(prefix + "violations.ack_unlogged", ack_unlogged);
+  counters.add(prefix + "violations.log_vanished", log_vanished);
+  counters.add(prefix + "violations.vanished", vanished);
+  counters.add(prefix + "violations.illegal_duplicates", illegal_duplicates);
+  counters.add(prefix + "violations.double_accounted",
+               illegal_double_accounted);
+  counters.add(prefix + "violations.total", violations());
 }
 
 std::string InvariantChecker::Report::describe() const {

@@ -39,8 +39,23 @@ void Simulator::release_slot(std::uint32_t slot) {
 }
 
 void Simulator::push(const QueueEntry& entry) {
-  queue_.push_back(entry);
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  if (!root_fired_) {
+    queue_.push_back(entry);
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+    return;
+  }
+  // The fired root is dead: `entry` takes its place, sifted down from
+  // the root.
+  root_fired_ = false;
+  const std::size_t n = queue_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Later{}(queue_[child], queue_[child + 1])) ++child;
+    if (!Later{}(entry, queue_[child])) break;
+    queue_[hole] = queue_[child];
+    hole = child;
+  }
+  queue_[hole] = entry;
 }
 
 EventId Simulator::at(TimePoint t, Callback cb, const char* label) {
@@ -89,6 +104,12 @@ TaskHandle Simulator::every(Duration period, Callback cb, const char* label,
 }
 
 void Simulator::release_cancelled_heads() {
+  if (root_fired_) {
+    // The last event scheduled nothing, so its entry is still the root.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    root_fired_ = false;
+  }
   // Only cancel(id) marks an entry here. A periodic task cancelled
   // through its handle is not marked: its already-armed fire still
   // pops as a real event (see fire_head()).
@@ -101,9 +122,11 @@ void Simulator::release_cancelled_heads() {
 }
 
 void Simulator::fire_head() {
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  const QueueEntry entry = queue_.back();
-  queue_.pop_back();
+  // The entry stays at the root: the callback's first push, or the
+  // periodic re-arm below, replaces it, and the run loop pops it if
+  // neither comes (release_cancelled_heads()).
+  const QueueEntry entry = queue_.front();
+  root_fired_ = true;
   assert(entry.when >= now_);
   now_ = entry.when;
   ++processed_;

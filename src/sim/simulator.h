@@ -16,11 +16,15 @@
 // (when, sequence, slot) entries: equal times fire in sequence order,
 // the FIFO tie-break the golden traces and fleet merges depend on.
 // Cancelled entries stay in the heap until they reach the top, where
-// the run loop releases them without advancing time. A simulated world
-// holds a few dozen events at a time, where a heap's few levels of one
-// contiguous array beat a timing wheel's cascades (DESIGN.md §13).
-// tests/scheduler_diff_test.cc diffs this kernel against
-// sim::ReferenceScheduler, an independent copy of the same algorithm.
+// the run loop releases them without advancing time. A fired entry
+// stays at the root while its callback runs, and the next push takes
+// its place with one sift-down, so a periodic re-arm or a one-shot that
+// schedules one follow-up costs one heap operation, not a pop and a
+// push. A simulated world holds a few dozen events at a time, where a
+// heap's few levels of one contiguous array beat a timing wheel's
+// cascades (DESIGN.md §13). tests/scheduler_diff_test.cc diffs this
+// kernel against sim::ReferenceScheduler, an independent heap that pops
+// before it fires.
 #pragma once
 
 #include <cstdint>
@@ -155,8 +159,11 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
   /// Cancelled entries that have not reached the top of the queue yet
-  /// still count, so this is a conservative check for diagnostics.
-  bool queue_empty() const { return queue_.empty(); }
+  /// still count, so this is a conservative check for diagnostics. The
+  /// fired root (see fire_head()) does not.
+  bool queue_empty() const {
+    return queue_.size() == static_cast<std::size_t>(root_fired_);
+  }
 
   /// Next tie-break sequence number; carried across crash-restarts so
   /// a resumed run's FIFO ordering stays monotonic with its past.
@@ -215,11 +222,15 @@ class Simulator {
 
   std::uint32_t allocate_slot();
   void release_slot(std::uint32_t slot);
+  /// Queues `entry`. While the fired root is still in place, `entry`
+  /// replaces it with one sift-down instead of a push.
   void push(const QueueEntry& entry);
-  /// Pops and releases kernel-cancelled entries from the top of the
-  /// queue: no time advance, no events_processed tick.
+  /// Pops the fired root if no push replaced it, then pops and
+  /// releases kernel-cancelled entries from the top of the queue: no
+  /// time advance, no events_processed tick.
   void release_cancelled_heads();
-  /// Pops the top entry, which must be live, and fires it.
+  /// Fires the top entry, which must be live, and leaves it at the
+  /// root as the fired root.
   void fire_head();
 
   TimePoint now_{};
@@ -228,8 +239,13 @@ class Simulator {
 
   std::vector<Event> pool_;
   std::vector<std::uint32_t> free_;
-  /// Binary min-heap under Later: front() is the next entry to pop.
+  /// Binary min-heap under Later: front() is the next entry to pop,
+  /// or the entry that fired last while root_fired_ is set.
   std::vector<QueueEntry> queue_;
+  /// front() has fired and is dead: the next push overwrites it, and
+  /// the run loop pops it if the event scheduled nothing. Its slot may
+  /// already hold a new event, so nothing reads front().slot meanwhile.
+  bool root_fired_ = false;
   std::uint64_t next_sequence_ = 1;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;

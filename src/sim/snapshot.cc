@@ -298,7 +298,7 @@ Counters get_counters(SnapshotReader& r) {
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     const std::string name = r.str();
     const std::int64_t value = r.i64();
-    if (r.ok()) counters.bump(name, value);
+    if (r.ok()) counters.add(name, value);
   }
   return counters;
 }

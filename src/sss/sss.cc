@@ -150,7 +150,7 @@ void SssServer::unsubscribe(SubscriptionId id) {
 
 void SssServer::emit(EventKind kind, const Variable& variable) {
   Event event{kind, variable, sim_.now()};
-  stats_.bump(std::string("events.") + to_string(kind));
+  stats_.add(std::string("events.") + to_string(kind));
   // Copy the subscription list: callbacks may (un)subscribe.
   const auto subs = subscriptions_;
   for (const auto& s : subs) {

@@ -78,10 +78,19 @@ std::string Summary::report(const char* value_format) const {
   return out;
 }
 
-void Counters::bump(std::string_view name, std::int64_t by) {
-  // Single transparent probe: after a counter's first bump, subsequent
-  // bumps are allocation-free flat-map hits. The std::string key is
-  // built only on the insert path (inside try_emplace).
+void Counters::bump(CounterName name, std::int64_t by) {
+  auto it = by_address_.find(name.address());
+  if (it == by_address_.end()) {
+    const auto slot = counts_.try_emplace(name.text()).first - counts_.begin();
+    it = by_address_
+             .emplace(name.address(), static_cast<std::uint32_t>(slot))
+             .first;
+  }
+  (counts_.begin() + it->second)->second += by;
+}
+
+void Counters::add(std::string_view name, std::int64_t by) {
+  // The std::string key is built only on the insert path.
   counts_[name] += by;
 }
 

@@ -59,19 +59,45 @@ class Summary {
   double max_ = 0.0;
 };
 
+/// A counter name fixed at compile time: a string literal or a
+/// constexpr array. The constructor is consteval and reads the text,
+/// so only a constant expression with static storage converts; a
+/// run-time `const char*` or a local array does not compile. Such a
+/// name's address is stable and always means the same text, which is
+/// what lets Counters::bump find it by address.
+class CounterName {
+ public:
+  // Implicit, so a call site passes the literal itself.
+  template <std::size_t N>
+  consteval CounterName(const char (&name)[N])
+      : text_(name, std::char_traits<char>::length(name)) {}
+
+  std::string_view text() const { return text_; }
+  /// The address the bag's index keys on.
+  std::uintptr_t address() const {
+    return reinterpret_cast<std::uintptr_t>(text_.data());
+  }
+
+ private:
+  std::string_view text_;
+};
+
 /// Counter bag: named integer counters for fault logs and recovery
 /// statistics (experiment E6 reports these directly).
 ///
-/// bump()/get() take string_view and look up through a transparent
-/// hash, so the ubiquitous string-literal call sites
-/// (`stats_.bump("delivered")`) never materialise a std::string on the
-/// hot path — a key is copied once, on first insertion. The bag is an
-/// open-addressing util::FlatMap (bump is the single hottest map op in
-/// the fleet); all() materialises the sorted view every report/
-/// snapshot/merge-comparison site relied on when this was a std::map.
+/// bump() takes a CounterName and finds a literal's entry by its
+/// address; add() takes any text (the computed names: invariant
+/// exports, per-medium and per-priority families, prefix copies,
+/// snapshot decode). get() looks up by text through a transparent
+/// hash. The bag is an open-addressing util::FlatMap (bump is the
+/// single hottest map op in the fleet); all() materialises the sorted
+/// view every report/snapshot/merge-comparison site relied on when
+/// this was a std::map.
 class Counters {
  public:
-  void bump(std::string_view name, std::int64_t by = 1);
+  void bump(CounterName name, std::int64_t by = 1);
+  /// bump() by text, for names built at run time.
+  void add(std::string_view name, std::int64_t by = 1);
   std::int64_t get(std::string_view name) const;
   /// Every counter, sorted by name. Returned by value: the underlying
   /// flat map iterates in insertion order, and every caller (reports,
@@ -85,6 +111,13 @@ class Counters {
 
  private:
   util::FlatMap<std::string, std::int64_t> counts_;
+  /// CounterName address -> dense slot of its entry in counts_, filled
+  /// by the first bump of that literal through a text lookup, so equal
+  /// literals at different addresses share one entry. A slot stays
+  /// valid because entries are never erased, and copy, move, merge()
+  /// and the map's graduation to hashed mode all keep slot order; the
+  /// index is copied and moved with the map it points into.
+  util::FlatMap<std::uintptr_t, std::uint32_t> by_address_;
 };
 
 /// Fixed-boundary histogram for latency distributions.

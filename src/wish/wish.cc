@@ -204,7 +204,7 @@ void WishAlertService::emit(Tracking& t, const std::string& what,
   alert.attributes["target"] = t.target;
   alert.attributes["subscriber"] = t.subscriber;
   stats_.bump("alerts_generated");
-  log_info("wish.alerts", "alert: " + alert.subject);
+  SIMBA_LOG_INFO("wish.alerts", "alert: " + alert.subject);
   if (t.sink) t.sink(alert);
 }
 

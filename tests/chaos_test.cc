@@ -90,7 +90,7 @@ TEST_P(ChaosMatrixTest, EveryWorldConservesAlertsAcrossSeeds) {
     ASSERT_EQ(report.per_shard.size(), 4u);
     expect_conserved(report, scenario.name + "/seed " + std::to_string(seed));
     for (const auto& [name, value] : report.counters.all()) {
-      injected.bump(name, value);
+      injected.add(name, value);
     }
   }
 
@@ -195,7 +195,7 @@ TEST(StormChaosTest, StormCrashNeverDoubleCountsAnAlert) {
     ASSERT_EQ(report.per_shard.size(), 4u);
     expect_conserved(report, "storm_crash/seed " + std::to_string(seed));
     for (const auto& [name, value] : report.counters.all()) {
-      injected.bump(name, value);
+      injected.add(name, value);
     }
   }
   // The sweep actually exercised the overload + crash machinery: the

@@ -208,6 +208,26 @@ TEST_F(BusTest, InternIsStableAndNamesResolve) {
   EXPECT_FALSE(bus_.attached(Address{}));
 }
 
+TEST_F(BusTest, RestoredStatsKeepCounting) {
+  bus_.attach("b", [](const Message&) {});
+  bus_.send(make("a", "b"));
+  sim_.run();
+  // The bus's bag has filed "sent" and then "delivered". A checkpointed
+  // bag holds them the other way round, behind another entry; after
+  // restore_stats the bus's bumps must land in the restored entries.
+  Counters saved;
+  saved.bump("heal.unmatched", 7);
+  saved.bump("delivered", 40);
+  saved.bump("sent", 50);
+  bus_.restore_stats(saved);
+  bus_.send(make("a", "b"));
+  sim_.run();
+  EXPECT_EQ(bus_.stats().get("sent"), 51);
+  EXPECT_EQ(bus_.stats().get("delivered"), 41);
+  EXPECT_EQ(bus_.stats().get("heal.unmatched"), 7);
+  EXPECT_EQ(bus_.stats().all().size(), 3u);
+}
+
 TEST_F(BusTest, DropsByIdKeepTheirMeanings) {
   const Address never = bus_.intern("never");
   const Address gone = bus_.intern("gone");
@@ -215,9 +235,9 @@ TEST_F(BusTest, DropsByIdKeepTheirMeanings) {
   bus_.detach(gone);
   Message m = make("a", "b");
   m.to = never;
-  bus_.send(m);
+  bus_.send(Message(m));
   m.to = gone;
-  bus_.send(m);
+  bus_.send(Message(m));
   sim_.run();
   EXPECT_EQ(bus_.stats().get("dropped.unreachable"), 1);
   EXPECT_EQ(bus_.stats().get("dropped.undeliverable"), 1);
@@ -375,7 +395,7 @@ TEST_P(BusLossSweep, ObservedLossTracksModel) {
   proto.to = bus.intern("b");
   proto.type = "t";
   for (int i = 0; i < n; ++i) {
-    bus.send(proto);
+    bus.send(Message(proto));
   }
   sim.run();
   const double observed = 1.0 - static_cast<double>(received) / n;

@@ -12,8 +12,8 @@
 // kernels, and asserts byte-identical firing logs plus equal processed
 // counts and final clocks.
 //
-// The matrix (16 seeds x 4 op-mix profiles) runs under tier1 as the
-// `scheduler_diff` gate, plus the four profiles once more on a kernel
+// The matrix (16 seeds x 5 op-mix profiles) runs under tier1 as the
+// `scheduler_diff` gate, plus the five profiles once more on a kernel
 // restored to a clock past 2^32 us; the *Slow* suite repeats the matrix
 // at 10x ops under `ctest -L slow`. The SchedulerWheelBoundaryTest
 // cases pin hand-analyzed hard cases at the delays that were the
@@ -22,6 +22,7 @@
 // zero-delay scheduling at the current tick. Their names keep the
 // wheel's terms.
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -50,6 +51,8 @@ enum Action : std::uint8_t {
   kActZeroChild,    // schedule a plain one-shot at now (same tick)
   kActCancelOther,  // cancel the live one-shot at rank `param`
   kActCancelSelf,   // cancel its own (already-released) id: must no-op
+  kActTwoChildren,  // schedule a plain one-shot after `param` us and one
+                    // at now
 };
 
 enum OpKind : std::uint8_t {
@@ -66,12 +69,19 @@ struct Op {
   std::int64_t delay_us = 0;     // one-shot delay / periodic period
   std::int64_t param = 0;        // child delay or victim rank
   std::uint32_t fires_limit = 1; // periodic: self-cancel after this many
+  std::uint8_t children = 0;     // periodic: one-shots each fire schedules
 };
 
-// Weights over op kinds; named mixes from ISSUE 6.
+// Weights over op kinds, and whether callbacks fan out.
 struct Profile {
   const char* name;
   double weights[4];  // indexed by OpKind
+  // Every callback schedules 0, 1 or 2 events: one-shots draw none, a
+  // child or two children, and each periodic fire schedules a drawn
+  // number of children. A callback that schedules nothing leaves the
+  // kernel's fired root to the run loop; one that schedules replaces
+  // it (DESIGN.md §13).
+  bool fanout = false;
 };
 
 constexpr Profile kProfiles[] = {
@@ -79,7 +89,9 @@ constexpr Profile kProfiles[] = {
     {"cancel_churn", {0.45, 0.45, 0.05, 0.05}},
     {"periodic_heavy", {0.30, 0.10, 0.40, 0.20}},
     {"mixed", {0.50, 0.20, 0.15, 0.15}},
+    {"fanout", {0.55, 0.10, 0.30, 0.05}, /*fanout=*/true},
 };
+constexpr int kProfileCount = static_cast<int>(std::size(kProfiles));
 
 // Delay palette from the same tick to past 2^32 us, banded at 256 us,
 // 2^16, 2^24 and 2^32 us (the timing wheel's level edges, which the
@@ -125,6 +137,13 @@ std::vector<Op> make_program(std::uint64_t seed, const Profile& profile,
     switch (op.kind) {
       case kOpOneShot: {
         op.delay_us = pick_delay(rng);
+        if (profile.fanout) {
+          constexpr std::uint8_t kFanout[] = {kActNone, kActChild,
+                                              kActTwoChildren};
+          op.action = kFanout[rng.uniform_int(0, 2)];
+          op.param = pick_delay(rng);
+          break;
+        }
         const std::int64_t a = rng.uniform_int(0, 9);
         if (a <= 4) {
           op.action = kActNone;
@@ -151,6 +170,9 @@ std::vector<Op> make_program(std::uint64_t seed, const Profile& profile,
         op.delay_us = rng.uniform_int(1, 1 << 14);
         op.fires_limit = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
         op.immediate = rng.chance(0.25);
+        if (profile.fanout) {
+          op.children = static_cast<std::uint8_t>(rng.uniform_int(0, 2));
+        }
         break;
       case kOpCancelTask:
         op.param = rng.uniform_int(0, 1 << 20);
@@ -272,6 +294,10 @@ class Harness {
       case kActZeroChild:
         spawn(0, kActNone, 0);
         break;
+      case kActTwoChildren:
+        spawn(param, kActNone, 0);
+        spawn(0, kActNone, 0);
+        break;
       case kActCancelOther:
         cancel_rank(static_cast<std::uint64_t>(param));
         break;
@@ -298,8 +324,14 @@ class Harness {
     auto fired_count = std::make_shared<std::uint32_t>(0);
     TaskHandle handle = sched_.every(
         micros(op.delay_us),
-        [this, tag, fired_count, limit = op.fires_limit] {
+        [this, tag, fired_count, limit = op.fires_limit,
+         children = op.children, period = op.delay_us] {
           record("p", tag);
+          // Children at now and half a period on: the first lands at
+          // the root's own time, the second before the re-arm.
+          for (std::uint8_t k = 0; k < children; ++k) {
+            spawn(k == 0 ? 0 : period / 2, kActNone, 0);
+          }
           if (++*fired_count >= limit) {
             // Cancel-in-callback: the re-arm must be suppressed. The
             // task may already be gone from tasks_ if an external
@@ -365,7 +397,7 @@ void run_differential(std::uint64_t seed, const Profile& profile,
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: 16 seeds x 4 profiles (tier1), 10x ops under -L slow
+// The matrix: 16 seeds x 5 profiles (tier1), 10x ops under -L slow
 // ---------------------------------------------------------------------------
 
 class SchedulerDiffTest
@@ -386,10 +418,11 @@ std::string diff_param_name(
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, SchedulerDiffTest,
-                         ::testing::Combine(::testing::Range(0, 16),
-                                            ::testing::Range(0, 4)),
-                         diff_param_name);
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SchedulerDiffTest,
+    ::testing::Combine(::testing::Range(0, 16),
+                       ::testing::Range(0, kProfileCount)),
+    diff_param_name);
 
 // Extended sweep: same matrix at 10x ops. Matches SLOW_FILTER
 // "*Slow*" in tests/CMakeLists.txt, so it runs under `ctest -L slow`.
@@ -402,10 +435,11 @@ TEST_P(SchedulerDiffSlowTest, WheelMatchesHeap10x) {
                    kProfiles[profile_index], /*n_ops=*/4000);
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, SchedulerDiffSlowTest,
-                         ::testing::Combine(::testing::Range(0, 16),
-                                            ::testing::Range(0, 4)),
-                         diff_param_name);
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SchedulerDiffSlowTest,
+    ::testing::Combine(::testing::Range(0, 16),
+                       ::testing::Range(0, kProfileCount)),
+    diff_param_name);
 
 // A restored kernel: the same programs, with the Simulator first
 // aligned by restore_clock to a clock past 2^32 us, a processed count
@@ -421,7 +455,7 @@ TEST_P(SchedulerDiffRestoredTest, RestoredClockMatchesHeap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Profiles, SchedulerDiffRestoredTest, ::testing::Range(0, 4),
+    Profiles, SchedulerDiffRestoredTest, ::testing::Range(0, kProfileCount),
     [](const ::testing::TestParamInfo<int>& info) {
       return std::string(kProfiles[info.param].name);
     });

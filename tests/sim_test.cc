@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/fault.h"
@@ -223,6 +224,95 @@ TEST(SimulatorTest, MillionEventChurnReusesPoolSlots) {
   // total event count — the allocation-light contract of DESIGN.md §12.
   EXPECT_LE(sim.pool_slots(), static_cast<std::size_t>(2 * kInFlight));
   EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+}
+
+// The fired root (DESIGN.md §13): a fired entry stays at the heap's
+// root while its callback runs, until a push replaces it or the run
+// loop pops it. None of that may show through the kernel's interface.
+
+TEST(SimulatorTest, QueueEmptyInsideTheLastCallback) {
+  Simulator sim;
+  std::vector<bool> empty_inside;
+  sim.after(seconds(1), [&] { empty_inside.push_back(sim.queue_empty()); });
+  TaskHandle task;
+  task = sim.every(seconds(5), [&] {
+    empty_inside.push_back(sim.queue_empty());
+    task.cancel();
+  });
+  EXPECT_FALSE(sim.queue_empty());
+  sim.run();
+  // At 1 s the periodic's fire is still queued; at 5 s nothing is.
+  EXPECT_EQ(empty_inside, (std::vector<bool>{false, true}));
+  EXPECT_TRUE(sim.queue_empty());
+  EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+}
+
+TEST(SimulatorTest, StopInAOneShotThatScheduledNothingThenResume) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(kTimeZero + seconds(1), [&] {
+    order.push_back(1);
+    sim.stop();
+  });
+  sim.at(kTimeZero + seconds(2), [&] { order.push_back(2); });
+  sim.at(kTimeZero + seconds(3), [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), kTimeZero + seconds(1));
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_FALSE(sim.queue_empty());
+  // Scheduled between runs, at the stopped time: it takes the stopped
+  // event's place and fires first.
+  sim.at(sim.now(), [&] { order.push_back(0); });
+  sim.run_until(kTimeZero + seconds(2));
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(sim.now(), kTimeZero + seconds(2));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_TRUE(sim.queue_empty());
+  EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+}
+
+TEST(SimulatorTest, PeriodicThatCancelsItselfKeepsTheOthersInOrder) {
+  Simulator sim;
+  std::vector<std::string> log;
+  TaskHandle task;
+  int fires = 0;
+  task = sim.every(seconds(1), [&] {
+    log.push_back("p");
+    if (++fires == 2) task.cancel();
+  });
+  // Scheduled before the first re-arm, so it fires before the
+  // periodic's second tick at the same time.
+  sim.at(kTimeZero + seconds(2), [&] { log.push_back("a"); });
+  sim.at(kTimeZero + seconds(3), [&] { log.push_back("b"); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"p", "a", "p", "b"}));
+  EXPECT_FALSE(task.active());
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(sim.now(), kTimeZero + seconds(3));
+  EXPECT_TRUE(sim.queue_empty());
+  EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+}
+
+TEST(SimulatorTest, CancelledEntryTakesTheFiredRootsPlace) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(kTimeZero + seconds(1), [&] {
+    order.push_back(1);
+    // Due now, so the entry lands at the root in place of the one that
+    // just fired; it reuses that event's released slot.
+    const EventId victim = sim.at(sim.now(), [&] { order.push_back(-1); });
+    sim.cancel(victim);
+  });
+  sim.at(kTimeZero + seconds(2), [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pool_slots(), 2u);
+  EXPECT_EQ(sim.pool_free(), sim.pool_slots());
+  EXPECT_TRUE(sim.queue_empty());
 }
 
 TEST(SimulatorTest, MakeRngIsDeterministicPerName) {

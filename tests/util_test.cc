@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/calendar.h"
 #include "util/result.h"
@@ -243,6 +246,92 @@ TEST(CountersTest, BumpAndGet) {
   EXPECT_EQ(c.get("b"), -1);
   EXPECT_EQ(c.get("missing"), 0);
   EXPECT_NE(c.report().find("a = 3"), std::string::npos);
+}
+
+// Two constexpr arrays with equal text: distinct objects, so distinct
+// addresses, and Counters::bump must still file both under one entry.
+constexpr char kSharedName[] = "shared.name";
+constexpr char kSharedNameAgain[] = "shared.name";
+
+TEST(CountersTest, EqualTextAtDistinctAddressesSharesOneEntry) {
+  ASSERT_NE(static_cast<const void*>(kSharedName),
+            static_cast<const void*>(kSharedNameAgain));
+  Counters c;
+  c.bump(kSharedName);
+  c.bump(kSharedNameAgain, 2);
+  c.add("shared.name", 4);
+  c.bump("shared.name", 8);
+  c.bump(kSharedName, 16);
+  EXPECT_EQ(c.get("shared.name"), 31);
+  ASSERT_EQ(c.all().size(), 1u);
+  EXPECT_EQ(c.all()[0].first, "shared.name");
+}
+
+TEST(CountersTest, BumpsHitTheirOwnSlotAfterCopyMoveAndMerge) {
+  Counters a;
+  a.bump("a");
+  a.bump("b");
+  // A copy's index points into the copy's own entries.
+  Counters copy = a;
+  copy.bump("b", 10);
+  EXPECT_EQ(a.get("b"), 1);
+  EXPECT_EQ(copy.get("b"), 11);
+  // So does a moved-to bag's.
+  Counters moved = std::move(copy);
+  moved.bump("a", 100);
+  EXPECT_EQ(moved.get("a"), 101);
+  EXPECT_EQ(moved.get("b"), 11);
+  // Assignment replaces the index with the source's: "b" and "a" sit
+  // in the other order here, so a kept index would cross them.
+  Counters reordered;
+  reordered.bump("b", 1000);
+  reordered.bump("a", 2000);
+  a = reordered;
+  a.bump("a");
+  EXPECT_EQ(a.get("a"), 2001);
+  EXPECT_EQ(a.get("b"), 1000);
+  // merge() appends entries after the existing ones; bumps before and
+  // after it, across the map's graduation past its small-map size,
+  // land where get() looks.
+  Counters many;
+  many.bump("y");
+  many.merge(a);
+  many.bump("a", 5);
+  // Names "100".."109": "n" + std::to_string(i) trips GCC 12's
+  // -Werror=restrict false positive at -O3.
+  for (int i = 100; i < 110; ++i) many.add(std::to_string(i), 1);
+  many.bump("y", 7);
+  many.bump("b", 3);
+  EXPECT_EQ(many.get("y"), 8);
+  EXPECT_EQ(many.get("a"), 2006);
+  EXPECT_EQ(many.get("b"), 1003);
+  EXPECT_EQ(many.all().size(), 13u);
+  // The merged-from bag is untouched by bumps into the merged one.
+  EXPECT_EQ(a.get("a"), 2001);
+}
+
+TEST(CountersTest, AllAndReportMatchABagFilledByText) {
+  // Ten names, so the bag graduates past its small-map size.
+  Counters by_address;
+  by_address.bump("delivered", 3);
+  by_address.bump("sent");
+  for (int i = 0; i < 3; ++i) by_address.bump("pings");
+  by_address.bump("logins", 2);
+  by_address.bump("alerts.sent", 5);
+  by_address.bump("a", -4);
+  by_address.bump("y");
+  by_address.bump("dropped.loss", 9);
+  by_address.bump("sent", 6);
+  by_address.bump("heal.unmatched");
+  by_address.bump("b", 0);
+  Counters by_text;
+  for (const auto& [name, value] : by_address.all()) {
+    by_text.add(name, value);
+  }
+  EXPECT_EQ(by_address.all(), by_text.all());
+  EXPECT_EQ(by_address.report(), by_text.report());
+  EXPECT_EQ(by_address.get("sent"), 7);
+  EXPECT_EQ(by_address.all().size(), 10u);
 }
 
 TEST(HistogramTest, BucketsAndOverflow) {

@@ -42,13 +42,15 @@
 //                 mention a wall-clock source (util::WallTimer /
 //                 wall_seconds) — wall-stamped spans would break the
 //                 bit-identical merged-trace guarantee.
-//   [alloc]       debug/trace log messages must be built lazily: a
-//                 src/ log_debug/log_trace call whose argument text
-//                 concatenates ('+'), formats (strformat), or
-//                 stringifies (to_string) allocates the message even
-//                 when the level is disabled — use SIMBA_LOG_DEBUG /
-//                 SIMBA_LOG_TRACE (util/log.h), which evaluate the
-//                 message expression only when it will be written.
+//   [alloc]       trace/debug/info log messages must be built
+//                 lazily: a src/ log_trace/log_debug/log_info call
+//                 whose argument text concatenates ('+'), formats
+//                 (strformat), or stringifies (to_string) allocates
+//                 the message even when the level is disabled (the
+//                 default threshold is warn) — use SIMBA_LOG_TRACE /
+//                 SIMBA_LOG_DEBUG / SIMBA_LOG_INFO (util/log.h), which
+//                 evaluate the message expression only when it will be
+//                 written.
 //   [label]       every event scheduled on the simulator is labeled
 //                 with a literal that names its kind: a src/
 //                 sim.at/after/every call (also through sim_. or the
@@ -58,7 +60,10 @@
 //                 label(<reason>)" waiver covers the call. Per-label
 //                 event counts then attribute every event to one of a
 //                 fixed set of rows.
-//   [counters]    every Counters::bump("...") / ::get("...") literal
+//   [counters]    every Counters::bump("...") / ::get("...") literal,
+//                 each CounterName("...") arm of a ternary bump, and
+//                 each literal prefix of an add("prefix." + ...) or
+//                 add(std::string("prefix.") + ...) site
 //                 must resolve to an entry in the checked-in registry
 //                 src/util/counter_registry.def (name, owning
 //                 subsystem, conservation-identity role, one-line

@@ -51,7 +51,7 @@ class CounterRegistry {
   const CounterEntry* resolve(std::string_view name) const;
 
   /// Resolution for a literal used as a name *prefix*
-  /// (`bump("seen_via_" + suffix)`): true when some registered name or
+  /// (`add("seen_via_" + suffix)`): true when some registered name or
   /// prefix pattern extends or equals the literal.
   bool resolve_prefix(std::string_view literal) const;
 

@@ -2,8 +2,11 @@
 // token stream (collect_counter_sites) and validating them against
 // the checked-in registry (check_counters). Extraction works on the
 // cross-line token stream, so calls split across lines, adjacent
-// string-literal concatenation, and ternary name selection all
-// resolve to the literals that actually reach Counters::bump/get.
+// string-literal concatenation, and ternary name selection (bare
+// literals or CounterName("...") arms) all resolve to the literals
+// that actually reach Counters::bump/get. Counters::add takes names
+// built at run time; its literal prefixes ("tx." + medium, or
+// std::string("tx.") + medium) are checked like bump's.
 #include <map>
 
 #include "registry.h"
@@ -32,6 +35,32 @@ std::size_t glue_literal(const std::vector<Token>& ts, std::size_t i,
   return i;
 }
 
+// A literal wrapped in one call that passes its text through:
+// CounterName("a") (a ternary arm) or std::string("tx.") (the left
+// operand of a computed name). On a match, reads the literal into
+// `out` and returns the index just past the closing ')'; otherwise
+// returns `i`.
+std::size_t unwrap_literal(const std::vector<Token>& ts, std::size_t i,
+                           std::string& out) {
+  std::size_t open = i + 1;
+  const bool counter_name =
+      ts[i].kind == Token::Kind::kIdent && ts[i].text == "CounterName";
+  const bool std_string = ts[i].kind == Token::Kind::kIdent &&
+                          ts[i].text == "std" && i + 3 < ts.size() &&
+                          is_punct(ts[i + 1], "::") &&
+                          ts[i + 2].kind == Token::Kind::kIdent &&
+                          ts[i + 2].text == "string";
+  if (std_string) open = i + 3;
+  if (!counter_name && !std_string) return i;
+  if (open + 1 >= ts.size() || !is_punct(ts[open], "(") ||
+      ts[open + 1].kind != Token::Kind::kString) {
+    return i;
+  }
+  const std::size_t close = glue_literal(ts, open + 1, out);
+  if (close >= ts.size() || !is_punct(ts[close], ")")) return i;
+  return close + 1;
+}
+
 }  // namespace
 
 void collect_counter_sites(FileAnalysis& fa) {
@@ -40,14 +69,15 @@ void collect_counter_sites(FileAnalysis& fa) {
     if (ts[i].kind != Token::Kind::kIdent) continue;
     const bool is_bump = ts[i].text == "bump";
     const bool is_get = ts[i].text == "get";
-    if (!is_bump && !is_get) continue;
+    const bool is_add = ts[i].text == "add";
+    if (!is_bump && !is_get && !is_add) continue;
     if (!is_punct(ts[i + 1], "(")) continue;
     const bool member =
         i > 0 && (is_punct(ts[i - 1], ".") || is_punct(ts[i - 1], "->"));
-    // bump() is distinctive enough to match free or member; get() only
-    // as a member call — free get(...) is any old accessor (e.g. the
-    // alert-header lookup lambda in src/core/alert.cc).
-    if (is_get && !member) continue;
+    // bump() is distinctive enough to match free or member; get() and
+    // add() only as member calls — free get(...) is any old accessor
+    // (e.g. the alert-header lookup lambda in src/core/alert.cc).
+    if ((is_get || is_add) && !member) continue;
     if (is_bump && i > 0 && is_punct(ts[i - 1], "::")) continue;
 
     // Scan the argument list: depth 1 is the call's own argument
@@ -71,18 +101,26 @@ void collect_counter_sites(FileAnalysis& fa) {
         ++j;
         continue;
       }
-      if (t.kind == Token::Kind::kString && depth == 1 && at_arg_start) {
+      if (depth == 1 && at_arg_start) {
         CounterSite site;
         site.line = t.line;
-        site.is_bump = is_bump;
-        const std::size_t next = glue_literal(ts, j, site.name);
-        // A literal glued to '+' is a key *prefix* ("seen_via_" +
-        // transport), not a full name.
-        site.is_prefix = next < ts.size() && is_punct(ts[next], "+");
-        if (!site.name.empty()) fa.counter_sites.push_back(std::move(site));
-        j = next;
-        at_arg_start = false;
-        continue;
+        site.is_bump = is_bump || is_add;
+        const std::size_t next = t.kind == Token::Kind::kString
+                                     ? glue_literal(ts, j, site.name)
+                                     : unwrap_literal(ts, j, site.name);
+        if (next != j) {
+          // A literal glued to '+' is a key *prefix* ("seen_via_" +
+          // transport), not a full name. add() takes only computed
+          // names, so a whole literal there is some other add() (a
+          // Summary, a caption table, a JSON writer), not a counter.
+          site.is_prefix = next < ts.size() && is_punct(ts[next], "+");
+          if (!site.name.empty() && (site.is_prefix || !is_add)) {
+            fa.counter_sites.push_back(std::move(site));
+          }
+          j = next;
+          at_arg_start = false;
+          continue;
+        }
       }
       // An identifier or stray literal: this argument's name (if any)
       // is computed, not literal — nothing to record until the next

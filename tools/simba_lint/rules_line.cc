@@ -7,6 +7,7 @@
 // counts call arguments, which may span lines, so it reads the token
 // stream instead.
 #include <array>
+#include <utility>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,11 +56,14 @@ constexpr std::array<std::string_view, 12> kBannedSync{
 };
 
 // Logging calls whose message argument must not be built eagerly:
-// below the threshold they discard the string they just allocated.
-constexpr std::array<std::string_view, 2> kLazyLogCalls{
-    "log_debug",
-    "log_trace",
-};
+// below the threshold (warn by default) they discard the string they
+// just allocated. Each maps to the lazy macro that replaces it.
+constexpr std::array<std::pair<std::string_view, std::string_view>, 3>
+    kLazyLogCalls{{
+        {"log_trace", "SIMBA_LOG_TRACE"},
+        {"log_debug", "SIMBA_LOG_DEBUG"},
+        {"log_info", "SIMBA_LOG_INFO"},
+    }};
 
 // Argument patterns that mean "this line allocates to build the
 // message": formatting and number-to-string conversion ('+' is
@@ -482,9 +486,10 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
            "iteration itself is load-bearing");
     }
 
-    // [alloc] — debug/trace log messages must not be built eagerly.
+    // [alloc] — trace/debug/info log messages must not be built
+    // eagerly.
     if (in_src) {
-      for (const std::string_view name : kLazyLogCalls) {
+      for (const auto& [name, macro] : kLazyLogCalls) {
         const std::size_t args = find_call_args(tokens, name);
         if (args == std::string::npos) continue;
         const std::string rest = tokens.substr(args);
@@ -497,9 +502,7 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
                "message for '" + std::string(name) +
                    "(' is built eagerly (+/strformat/to_string in the "
                    "argument list) and allocates even when the level is "
-                   "disabled; use " +
-                   (name == "log_trace" ? "SIMBA_LOG_TRACE"
-                                        : "SIMBA_LOG_DEBUG") +
+                   "disabled; use " + std::string(macro) +
                    " (util/log.h) so the message is only built when it "
                    "will be written");
         }

@@ -26,7 +26,7 @@ const std::map<std::string, std::string>& rule_descriptions() {
                "util/"},
       {"bounded", "Queues on the alert path must name their bound"},
       {"trace", "Trace spans carry virtual time only"},
-      {"alloc", "Debug/trace log messages must be built lazily"},
+      {"alloc", "Trace/debug/info log messages must be built lazily"},
       {"label", "Events scheduled on the simulator must carry a literal "
                 "label"},
       {"counters", "Counter names must resolve against "

@@ -221,10 +221,11 @@ TEST(SimbaLint, TraceSpansMustUseVirtualTime) {
 TEST(SimbaLint, EagerLogMessagesAreFlagged) {
   const LintResult result = lint_fixture("alloc");
   EXPECT_EQ(result.files_scanned, 2);
-  // bad_log.cc: '+' (12), strformat (13), to_string (14). The literal
-  // message, log_warn, the declarations, and everything in ok_log.cc
-  // (lazy macro, no-build call, comment, string literal) stay clean.
-  ASSERT_EQ(result.diagnostics.size(), 3u);
+  // bad_log.cc: '+' (12), strformat (13), to_string (14), log_info's
+  // '+' (22). The literal messages, log_warn, the declarations, and
+  // everything in ok_log.cc (lazy macros, no-build call, comment,
+  // string literal) stay clean.
+  ASSERT_EQ(result.diagnostics.size(), 4u);
   for (const Diagnostic& d : result.diagnostics) {
     EXPECT_EQ(d.file, "src/core/bad_log.cc");
     EXPECT_EQ(d.rule, "alloc");
@@ -242,11 +243,17 @@ TEST(SimbaLint, EagerLogMessagesAreFlagged) {
   EXPECT_NE(result.diagnostics[1].message.find("SIMBA_LOG_TRACE"),
             std::string::npos);
   EXPECT_EQ(result.diagnostics[2].line, 14);
+  EXPECT_EQ(format(result.diagnostics[3]),
+            "src/core/bad_log.cc:22: error: [alloc] message for 'log_info(' "
+            "is built eagerly (+/strformat/to_string in the argument list) "
+            "and allocates even when the level is disabled; use "
+            "SIMBA_LOG_INFO (util/log.h) so the message is only built when "
+            "it will be written");
 
   std::string out;
   EXPECT_EQ(cli({"--root", (std::string(kTestdata) + "/alloc").c_str()}, out),
             1);
-  EXPECT_NE(out.find("3 violation(s)"), std::string::npos) << out;
+  EXPECT_NE(out.find("4 violation(s)"), std::string::npos) << out;
 }
 
 TEST(SimbaLint, ScheduledEventsMustBeLabeled) {
@@ -315,10 +322,12 @@ TEST(SimbaLint, MemberCallsAreNotBannedCalls) {
 TEST(SimbaLint, CounterRegistryChecksEverySite) {
   const LintResult result = lint_fixture("counters");
   EXPECT_EQ(result.files_scanned, 3);
-  // good.cc (exact, glued, ternary, prefix-into-pattern sites) and the
-  // get()-only probe of the dynamic entry stay clean; bad.cc's three
-  // sites and the never-bumped registry entry are errors.
-  ASSERT_EQ(result.diagnostics.size(), 4u);
+  // good.cc (exact, glued, ternary, prefix-into-pattern sites,
+  // CounterName arms, add() prefixes into a pattern, and add() calls
+  // that name no counter) and the get()-only probe of the dynamic
+  // entry stay clean; bad.cc's six sites and the never-bumped registry
+  // entry are errors.
+  ASSERT_EQ(result.diagnostics.size(), 7u);
   for (const Diagnostic& d : result.diagnostics) {
     EXPECT_EQ(d.rule, "counters");
     EXPECT_EQ(d.severity, Severity::kError);
@@ -336,6 +345,18 @@ TEST(SimbaLint, CounterRegistryChecksEverySite) {
             "matches no registered counter or pattern; register the dynamic "
             "names it produces in src/util/counter_registry.def");
   EXPECT_EQ(format(result.diagnostics[3]),
+            "src/core/bad.cc:9: error: [counters] counter \"alerts_sentt\" "
+            "is not registered in src/util/counter_registry.def — did you "
+            "mean \"alerts_sent\"?");
+  EXPECT_EQ(format(result.diagnostics[4]),
+            "src/core/bad.cc:10: error: [counters] counter-name prefix "
+            "\"yy.\" matches no registered counter or pattern; register the "
+            "dynamic names it produces in src/util/counter_registry.def");
+  EXPECT_EQ(format(result.diagnostics[5]),
+            "src/core/bad.cc:11: error: [counters] counter-name prefix "
+            "\"xx.\" matches no registered counter or pattern; register the "
+            "dynamic names it produces in src/util/counter_registry.def");
+  EXPECT_EQ(format(result.diagnostics[6]),
             "src/util/counter_registry.def:6: error: [counters] registered "
             "counter 'stale_counter' has no bump(\"...\") site anywhere in "
             "the tree; delete the entry or mark it 'dynamic' if it is bumped "
@@ -344,7 +365,7 @@ TEST(SimbaLint, CounterRegistryChecksEverySite) {
   std::string out;
   EXPECT_EQ(
       cli({"--root", (std::string(kTestdata) + "/counters").c_str()}, out), 1);
-  EXPECT_NE(out.find("4 violation(s)"), std::string::npos) << out;
+  EXPECT_NE(out.find("7 violation(s)"), std::string::npos) << out;
 }
 
 TEST(SimbaLint, RegistryParseErrors) {

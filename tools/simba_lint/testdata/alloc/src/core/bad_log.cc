@@ -1,4 +1,4 @@
-// Fixture: eager message construction in debug/trace logging.
+// Fixture: eager message construction in trace/debug/info logging.
 #include <string>
 
 namespace fixture {
@@ -14,6 +14,13 @@ void bad(const std::string& user, int n) {
   log_debug("core", std::to_string(n));                // flagged: to_string
   log_debug("core", "static message");                 // clean: literal only
   log_warn("core", "failed for " + user);              // clean: warn is rare
+}
+
+void log_info(const std::string&, const std::string&);
+
+void bad_info(const std::string& user) {
+  log_info("core", "booted " + user);                  // flagged: '+'
+  log_info("core", "static message");                  // clean: literal only
 }
 
 }  // namespace fixture

@@ -9,3 +9,13 @@ void record(Counters& c, bool seen, const std::string& lane) {
   c.bump("lanes." + lane);
   c.bump("ckpt.saved");
 }
+// CounterName ternary arms, add() prefixes into a pattern, an add()
+// of a computed name, and add() calls that are not counter sites.
+void record_computed(Counters& c, Summary& s, bool seen,
+                     const std::string& lane) {
+  c.bump(seen ? CounterName("alerts_seen") : CounterName("alerts_sent"));
+  c.add("lanes." + lane);
+  c.add(std::string("lanes.") + lane, 2);
+  c.add(lane);
+  s.add("not a counter", 1.0);
+}
