@@ -94,9 +94,9 @@ RunResult run(std::uint64_t seed, const Config& config) {
     sent_at.push_back(world.sim.now());
     source->send_alert(alert);
     world.sim.after(minutes(1) + rng.exponential_duration(minutes(1)),
-                    send_next, "workload");
+                    sim::Callback(send_next), "workload");
   };
-  world.sim.after(minutes(1), send_next, "workload");
+  world.sim.after(minutes(1), sim::Callback(send_next), "workload");
 
   std::int64_t samples = 0, healthy = 0;
   world.sim.every(minutes(1), [&] {

@@ -122,9 +122,9 @@ MonthResult run_month(std::uint64_t seed, bool with_ups,
     ++alerts_sent;
     source->send_alert(alert);
     world.sim.after(minutes(15) + workload_rng.exponential_duration(minutes(10)),
-                    send_next, "workload");
+                    sim::Callback(send_next), "workload");
   };
-  world.sim.after(minutes(5), send_next, "workload");
+  world.sim.after(minutes(5), sim::Callback(send_next), "workload");
 
   // The human operator: checks in every 30 minutes; a dialog that has
   // been stuck for over two hours gets clicked by hand (and counted as

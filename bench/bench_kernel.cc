@@ -50,13 +50,13 @@ int main(int argc, char** argv) {
     std::function<void()> tick = [&] {
       if (budget > 0) {
         --budget;
-        sim.after(micros(1), tick, "bench.chain");
+        sim.after(micros(1), sim::Callback(tick), "bench.chain");
       }
     };
     for (int c = 0; c < kChains; ++c) {
       if (budget == 0) break;
       --budget;
-      sim.after(micros(c), tick, "bench.chain");
+      sim.after(micros(c), sim::Callback(tick), "bench.chain");
     }
     const util::WallTimer timer;
     sim.run();

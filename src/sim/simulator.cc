@@ -39,26 +39,33 @@ void Simulator::release_slot(std::uint32_t slot) {
 }
 
 void Simulator::push(const QueueEntry& entry) {
-  if (!root_fired_) {
+  if (queue_.size() == queue_.capacity() && head_ > 0) {
+    // Reuse the popped prefix rather than grow: the vector stays
+    // bounded by the peak pending count.
+    queue_.erase(queue_.begin(), queue_.begin() + head_);
+    head_ = 0;
+  }
+  if (queue_empty() || Earlier{}(queue_.back(), entry)) {
     queue_.push_back(entry);
-    std::push_heap(queue_.begin(), queue_.end(), Later{});
     return;
   }
-  // The fired root is dead: `entry` takes its place, sifted down from
-  // the root.
-  root_fired_ = false;
-  const std::size_t n = queue_.size();
-  std::size_t hole = 0;
-  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n && Later{}(queue_[child], queue_[child + 1])) ++child;
-    if (!Later{}(entry, queue_[child])) break;
-    queue_[hole] = queue_[child];
-    hole = child;
+  // `entry` carries the largest sequence so far, so it goes after every
+  // entry not later than it: equal times stay in FIFO order.
+  const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto place = std::partition_point(
+      first, queue_.end(),
+      [&entry](const QueueEntry& queued) { return Earlier{}(queued, entry); });
+  if (head_ > 0 && place - first <= queue_.end() - place) {
+    // Shift the shorter prefix one slot left, into the popped slack.
+    std::move(first, place, first - 1);
+    *(place - 1) = entry;
+    --head_;
+    return;
   }
-  queue_[hole] = entry;
+  queue_.insert(place, entry);
 }
 
-EventId Simulator::at(TimePoint t, Callback cb, const char* label) {
+EventId Simulator::at(TimePoint t, Callback&& cb, const char* label) {
   if (t < now_) t = now_;
   const std::uint32_t slot = allocate_slot();
   Event& event = pool_[slot];
@@ -70,11 +77,6 @@ EventId Simulator::at(TimePoint t, Callback cb, const char* label) {
   return make_id(slot, event.generation);
 }
 
-EventId Simulator::after(Duration delay, Callback cb, const char* label) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return at(now_ + delay, std::move(cb), label);
-}
-
 void Simulator::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
@@ -82,7 +84,7 @@ void Simulator::cancel(EventId id) {
   Event& event = pool_[slot];
   if (!event.pending || event.generation != generation) return;
   // The queue entry still references this slot, so the slot is only
-  // freed (and its generation bumped) when that entry reaches the top
+  // freed (and its generation bumped) when that entry reaches the head
   // and release_cancelled_heads() pops it.
   event.cancelled = true;
 }
@@ -104,37 +106,32 @@ TaskHandle Simulator::every(Duration period, Callback cb, const char* label,
 }
 
 void Simulator::release_cancelled_heads() {
-  if (root_fired_) {
-    // The last event scheduled nothing, so its entry is still the root.
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
-    root_fired_ = false;
-  }
   // Only cancel(id) marks an entry here. A periodic task cancelled
   // through its handle is not marked: its already-armed fire still
   // pops as a real event (see fire_head()).
-  while (!queue_.empty() && pool_[queue_.front().slot].cancelled) {
-    const std::uint32_t slot = queue_.front().slot;
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
+  while (!queue_empty() && pool_[queue_[head_].slot].cancelled) {
+    const std::uint32_t slot = queue_[head_].slot;
+    pop_head();
     release_slot(slot);
   }
 }
 
 void Simulator::fire_head() {
-  // The entry stays at the root: the callback's first push, or the
-  // periodic re-arm below, replaces it, and the run loop pops it if
-  // neither comes (release_cancelled_heads()).
-  const QueueEntry entry = queue_.front();
-  root_fired_ = true;
+  // Pop before firing: whatever the callback schedules, or the periodic
+  // re-arm below, is pushed onto a queue that no longer holds this
+  // entry.
+  const QueueEntry entry = queue_[head_];
+  pop_head();
   assert(entry.when >= now_);
   now_ = entry.when;
   ++processed_;
   Event& event = pool_[entry.slot];
   if (event.periodic != nullptr) {
-    // Copy the shared_ptr: it keeps the task alive and reachable even
-    // if the callback schedules enough events to reallocate the pool.
-    std::shared_ptr<PeriodicTask> task = event.periodic;
+    // A raw pointer is enough: the slot's shared_ptr keeps the task
+    // alive until release_slot(), which runs only after the callback
+    // returns, and the task does not move when the callback grows the
+    // pool.
+    PeriodicTask* const task = event.periodic.get();
     if (task->cancelled) {
       // The handle was cancelled after this fire was armed: the pending
       // fire still pops (advancing time and counting as processed) but
@@ -170,7 +167,7 @@ void Simulator::restore_clock(TimePoint now, std::uint64_t events_processed,
   // Only a kernel that has never scheduled or fired anything can be
   // re-aligned: an entry queued before the jump could fire in the
   // restored clock's past.
-  assert(queue_.empty() && processed_ == 0 && pool_.empty());
+  assert(queue_empty() && processed_ == 0 && pool_.empty());
   now_ = now;
   processed_ = events_processed;
   next_sequence_ = sequence_counter;
@@ -180,7 +177,7 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_) {
     release_cancelled_heads();
-    if (queue_.empty()) break;
+    if (queue_empty()) break;
     fire_head();
   }
 }
@@ -189,7 +186,7 @@ void Simulator::run_until(TimePoint t) {
   stopped_ = false;
   while (!stopped_) {
     release_cancelled_heads();
-    if (queue_.empty() || queue_.front().when > t) break;
+    if (queue_empty() || queue_[head_].when > t) break;
     fire_head();
   }
   if (now_ < t) now_ = t;

@@ -12,19 +12,20 @@
 // `const char*` string literals naming the event kind, so scheduling
 // never copies a label.
 //
-// Event ordering (DESIGN.md §13) is one binary min-heap of plain
-// (when, sequence, slot) entries: equal times fire in sequence order,
-// the FIFO tie-break the golden traces and fleet merges depend on.
-// Cancelled entries stay in the heap until they reach the top, where
-// the run loop releases them without advancing time. A fired entry
-// stays at the root while its callback runs, and the next push takes
-// its place with one sift-down, so a periodic re-arm or a one-shot that
-// schedules one follow-up costs one heap operation, not a pop and a
-// push. A simulated world holds a few dozen events at a time, where a
-// heap's few levels of one contiguous array beat a timing wheel's
-// cascades (DESIGN.md §13). tests/scheduler_diff_test.cc diffs this
-// kernel against sim::ReferenceScheduler, an independent heap that pops
-// before it fires.
+// Event ordering (DESIGN.md §13) is one array of plain (when, sequence,
+// slot) entries kept sorted earliest first: equal times fire in
+// sequence order, the FIFO tie-break the golden traces and fleet merges
+// depend on. The run loop pops the head entry (an index increment)
+// before it fires the callback. A push appends when it is the latest
+// entry, and otherwise moves the shorter side of its place by one slot:
+// the prefix left, into the slack that pops leave before the head, or
+// the suffix right. Cancelled entries stay queued until they reach the
+// head, where the run loop releases them without advancing time. A
+// simulated world holds a few dozen events at a time, where a binary
+// search over one contiguous array and a short shift beat a heap's
+// data-dependent sift-downs (DESIGN.md §13).
+// tests/scheduler_diff_test.cc diffs this kernel against
+// sim::ReferenceScheduler, an independent binary heap.
 #pragma once
 
 #include <cstdint>
@@ -113,9 +114,9 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Which event-ordering structure this kernel uses; recorded in the
-  /// BENCH_*.json baselines so heap-era and wheel-era runs are
-  /// distinguishable in the perf trajectory.
-  static constexpr const char* kScheduler = "heap";
+  /// BENCH_*.json baselines so wheel-, heap- and sorted-array-era runs
+  /// are distinguishable in the perf trajectory.
+  static constexpr const char* kScheduler = "sorted";
 
   TimePoint now() const { return now_; }
   std::uint64_t seed() const { return seed_; }
@@ -128,11 +129,16 @@ class Simulator {
   /// outlive the event; the kernel stores only the pointer. Pass a
   /// string literal (simba-lint's [label] rule enforces this in src/);
   /// the bus's per-message-type label, interned through
-  /// util::StringInterner, is the one waived exception.
-  EventId at(TimePoint t, Callback cb, const char* label = "");
+  /// util::StringInterner, is the one waived exception. `cb` is moved
+  /// once, into its pool slot; pass `Callback(f)` to schedule a copy of
+  /// a callback that is kept.
+  EventId at(TimePoint t, Callback&& cb, const char* label = "");
 
   /// Schedules `cb` after `delay` (clamped to zero).
-  EventId after(Duration delay, Callback cb, const char* label = "");
+  EventId after(Duration delay, Callback&& cb, const char* label = "") {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return at(now_ + delay, std::move(cb), label);
+  }
 
   /// Cancels a pending event; no-op if already fired or cancelled.
   /// O(1): decodes the slot from the id and checks the generation, so
@@ -158,12 +164,9 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::uint64_t events_processed() const { return processed_; }
-  /// Cancelled entries that have not reached the top of the queue yet
-  /// still count, so this is a conservative check for diagnostics. The
-  /// fired root (see fire_head()) does not.
-  bool queue_empty() const {
-    return queue_.size() == static_cast<std::size_t>(root_fired_);
-  }
+  /// Cancelled entries that have not reached the head of the queue yet
+  /// still count, so this is a conservative check for diagnostics.
+  bool queue_empty() const { return head_ == queue_.size(); }
 
   /// Next tie-break sequence number; carried across crash-restarts so
   /// a resumed run's FIFO ordering stays monotonic with its past.
@@ -207,12 +210,11 @@ class Simulator {
     std::uint64_t sequence;  // tie-break: FIFO among equal times
     std::uint32_t slot;
   };
-  /// Later(a, b): a fires after b. As the heap's less-than it puts the
-  /// earliest (when, sequence) on top.
-  struct Later {
+  /// Earlier(a, b): a fires before b. The queue is sorted by it.
+  struct Earlier {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.sequence > b.sequence;
+      if (a.when != b.when) return a.when < b.when;
+      return a.sequence < b.sequence;
     }
   };
 
@@ -222,15 +224,20 @@ class Simulator {
 
   std::uint32_t allocate_slot();
   void release_slot(std::uint32_t slot);
-  /// Queues `entry`. While the fired root is still in place, `entry`
-  /// replaces it with one sift-down instead of a push.
+  /// Queues `entry`, which carries the largest sequence so far, after
+  /// every entry not later than it.
   void push(const QueueEntry& entry);
-  /// Pops the fired root if no push replaced it, then pops and
-  /// releases kernel-cancelled entries from the top of the queue: no
-  /// time advance, no events_processed tick.
+  /// Advances head_ past the head entry; an emptied queue restarts at 0.
+  void pop_head() {
+    if (++head_ == queue_.size()) {
+      queue_.clear();
+      head_ = 0;
+    }
+  }
+  /// Pops and releases kernel-cancelled entries from the head of the
+  /// queue: no time advance, no events_processed tick.
   void release_cancelled_heads();
-  /// Fires the top entry, which must be live, and leaves it at the
-  /// root as the fired root.
+  /// Pops the head entry, which must be live, and fires it.
   void fire_head();
 
   TimePoint now_{};
@@ -239,13 +246,11 @@ class Simulator {
 
   std::vector<Event> pool_;
   std::vector<std::uint32_t> free_;
-  /// Binary min-heap under Later: front() is the next entry to pop,
-  /// or the entry that fired last while root_fired_ is set.
+  /// queue_[head_, size()) are the pending entries, sorted by Earlier:
+  /// queue_[head_] fires next. queue_[0, head_) are popped entries, the
+  /// slack a push shifts its prefix into.
   std::vector<QueueEntry> queue_;
-  /// front() has fired and is dead: the next push overwrites it, and
-  /// the run loop pops it if the event scheduled nothing. Its slot may
-  /// already hold a new event, so nothing reads front().slot meanwhile.
-  bool root_fired_ = false;
+  std::size_t head_ = 0;
   std::uint64_t next_sequence_ = 1;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;

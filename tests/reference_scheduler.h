@@ -12,8 +12,8 @@
 // The implementation is the PR-5 heap kernel: slab/free-list event
 // pool, generation-tagged EventIds, a std::priority_queue of plain
 // (when, sequence, slot) entries, release-before-fire one-shots, and
-// in-place periodic re-arm. sim::Simulator runs the same algorithm on
-// its own code (std::push_heap/pop_heap over a vector), so the diff
+// in-place periodic re-arm. sim::Simulator orders its queue with a
+// different algorithm (one sorted array, DESIGN.md §13), so the diff
 // catches a change to either. It shares Callback / PeriodicTask /
 // TaskHandle with the real kernel so op scripts are written once.
 #pragma once

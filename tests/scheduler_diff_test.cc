@@ -3,9 +3,10 @@
 // The kernel (sim::Simulator, DESIGN.md §13) must reproduce the
 // reference scheduler's (when, sequence) FIFO ordering *exactly* — the
 // golden traces and the serial-vs-threaded fleet merge identity both
-// depend on it. Both are binary heaps; the reference is an independent
-// copy kept in the test tree, so a change to the kernel's queue, pool
-// or run loop that breaks the order shows here. This harness generates
+// depend on it. The kernel keeps one sorted array; the reference is a
+// binary heap kept in the test tree, a different algorithm written
+// independently, so a change to the kernel's queue, pool or run loop
+// that breaks the order shows here. This harness generates
 // seed-driven op programs (schedule / cancel / periodic re-arm /
 // cancel-in-callback mixes, with delays from the same tick to past
 // 2^32 us, dense with ties), runs the identical program through both
@@ -17,10 +18,10 @@
 // restored to a clock past 2^32 us; the *Slow* suite repeats the matrix
 // at 10x ops under `ctest -L slow`. The SchedulerWheelBoundaryTest
 // cases pin hand-analyzed hard cases at the delays that were the
-// boundaries of the timing wheel the kernel used before its heap:
-// ties around 256-us block edges, cancels of far-future events, and
-// zero-delay scheduling at the current tick. Their names keep the
-// wheel's terms.
+// boundaries of the timing wheel the kernel used before the heap that
+// preceded its sorted array: ties around 256-us block edges, cancels
+// of far-future events, and zero-delay scheduling at the current tick.
+// Their names keep the wheel's terms.
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -78,9 +79,10 @@ struct Profile {
   double weights[4];  // indexed by OpKind
   // Every callback schedules 0, 1 or 2 events: one-shots draw none, a
   // child or two children, and each periodic fire schedules a drawn
-  // number of children. A callback that schedules nothing leaves the
-  // kernel's fired root to the run loop; one that schedules replaces
-  // it (DESIGN.md §13).
+  // number of children. So the kernel's queue deepens and drains, and
+  // its pushes take every path: a child due now lands at the head,
+  // shifting the prefix into the slot the fire popped; a later one
+  // lands in the middle or at the tail (DESIGN.md §13).
   bool fanout = false;
 };
 
@@ -328,7 +330,8 @@ class Harness {
          children = op.children, period = op.delay_us] {
           record("p", tag);
           // Children at now and half a period on: the first lands at
-          // the root's own time, the second before the re-arm.
+          // the head, due at the fired entry's own time, the second
+          // before the re-arm.
           for (std::uint8_t k = 0; k < children; ++k) {
             spawn(k == 0 ? 0 : period / 2, kActNone, 0);
           }

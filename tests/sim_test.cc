@@ -118,7 +118,7 @@ TEST(SimulatorTest, CancelPendingEventFromAnotherCallback) {
   sim.after(seconds(1), [&] { sim.cancel(id); });
   sim.run();
   EXPECT_FALSE(victim);
-  // Kernel-cancelled events are dropped at the heap head without
+  // Kernel-cancelled events are dropped at the queue head without
   // counting as processed; only the cancelling event ran.
   EXPECT_EQ(sim.events_processed(), 1u);
 }
@@ -211,12 +211,12 @@ TEST(SimulatorTest, MillionEventChurnReusesPoolSlots) {
   std::function<void()> tick = [&] {
     if (budget > 0) {
       --budget;
-      sim.after(micros(1), tick);
+      sim.after(micros(1), Callback(tick));
     }
   };
   for (int i = 0; i < kInFlight; ++i) {
     --budget;
-    sim.after(micros(i), tick);
+    sim.after(micros(i), Callback(tick));
   }
   sim.run();
   EXPECT_EQ(sim.events_processed(), kTotal);
@@ -226,9 +226,10 @@ TEST(SimulatorTest, MillionEventChurnReusesPoolSlots) {
   EXPECT_EQ(sim.pool_free(), sim.pool_slots());
 }
 
-// The fired root (DESIGN.md §13): a fired entry stays at the heap's
-// root while its callback runs, until a push replaces it or the run
-// loop pops it. None of that may show through the kernel's interface.
+// Pop before fire (DESIGN.md §13): the head entry leaves the queue
+// before its callback runs, and a push from that callback may shift
+// the queue's prefix one slot left, into the popped slot. None of that
+// may show through the kernel's interface.
 
 TEST(SimulatorTest, QueueEmptyInsideTheLastCallback) {
   Simulator sim;
@@ -301,8 +302,8 @@ TEST(SimulatorTest, CancelledEntryTakesTheFiredRootsPlace) {
   std::vector<int> order;
   sim.at(kTimeZero + seconds(1), [&] {
     order.push_back(1);
-    // Due now, so the entry lands at the root in place of the one that
-    // just fired; it reuses that event's released slot.
+    // Due now, so the entry lands at the head, in the queue slot the
+    // fired entry left; it reuses that event's released pool slot.
     const EventId victim = sim.at(sim.now(), [&] { order.push_back(-1); });
     sim.cancel(victim);
   });
@@ -498,7 +499,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Kernel edge cases: generation wrap, zero-delay-at-now, cancel of a
 // far-future event. The overflow calendar in a test name is the one
-// the timing wheel kept before the kernel became a heap.
+// the timing wheel kept before the kernel became a heap, and then a
+// sorted array.
 // ---------------------------------------------------------------------------
 
 TEST(KernelEdgeTest, GenerationWrapSkipsZeroAndStaleIdsMiss) {
